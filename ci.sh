@@ -17,6 +17,12 @@ cargo clippy --workspace -- -D warnings
 echo "== test"
 cargo test -q --workspace
 
+echo "== benchmark suite (perfbench's own tests: its contract with the public API)"
+# perfbench/ is a separate workspace, so the step above does not build it; a
+# change to PassStats, the pass API or another public item it reads would
+# otherwise break the benchmark unnoticed.
+cargo test --release --offline --manifest-path perfbench/Cargo.toml
+
 echo "== benches compile"
 cargo bench --no-run --workspace
 

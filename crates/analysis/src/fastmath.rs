@@ -11,31 +11,37 @@
 //! fast-math flag. This module implements that user-guided optimization.
 
 use crate::vrp::{analyze_function, Interval, VrpOptions};
-use distill_ir::{BinOp, Constant, Function, Inst, Module, ValueId};
+use distill_ir::{BinOp, ConstPool, Constant, Function, Inst, Module, Rewrite, ValueId};
 
 /// Apply range-guided fast-math simplifications to one function.
 ///
 /// `opts` provides the parameter/load ranges under which the model is known
 /// to operate (typically derived from the sanitization run or supplied by
 /// the modeler). Returns the number of simplified instructions.
+///
+/// Rewrites are forwarded and committed once at the end; each instruction's
+/// operands are resolved when it is visited, so a simplification sees the
+/// constants that earlier ones produced.
 pub fn apply_fast_math(func: &mut Function, opts: &VrpOptions) -> usize {
     if func.layout.is_empty() {
         return 0;
     }
     let ranges = analyze_function(func, opts);
+    let range_of = |x: ValueId| ranges.get(&x).copied().unwrap_or_else(Interval::top);
+    let is_zero_const = |f: &Function, x: ValueId| matches!(f.as_constant(x), Some(Constant::F64(c)) if c == 0.0 && c.is_sign_positive());
+    let mut consts = ConstPool::new(func);
+    let mut rw = Rewrite::new();
     let mut changed = 0usize;
 
-    let blocks: Vec<_> = func.block_order().collect();
-    for b in blocks {
-        let insts = func.block(b).insts.clone();
-        for v in insts {
-            let Some(Inst::Bin { op, lhs, rhs }) = func.as_inst(v).cloned() else {
+    for li in 0..func.layout.len() {
+        let b = func.layout[li];
+        for i in 0..func.block(b).insts.len() {
+            let v = func.block(b).insts[i];
+            rw.resolve_operands(func, v);
+            let Some(&Inst::Bin { op, lhs, rhs }) = func.as_inst(v) else {
                 continue;
             };
-            let range_of = |x: ValueId| ranges.get(&x).copied().unwrap_or_else(Interval::top);
-            let is_zero_const =
-                |f: &Function, x: ValueId| matches!(f.as_constant(x), Some(Constant::F64(c)) if c == 0.0 && c.is_sign_positive());
-            match op {
+            let replacement = match op {
                 BinOp::FMul => {
                     // x * 0.0 → 0.0 requires x finite and non-negative (to
                     // keep the sign of zero); x finite and possibly negative
@@ -43,43 +49,35 @@ pub fn apply_fast_math(func: &mut Function, opts: &VrpOptions) -> usize {
                     // arithmetic never distinguishes -0.0, but we only prove
                     // exactness for the non-negative case — record it as a
                     // fast-math (nsz) rewrite either way when finite.
-                    let (zero_side, other) = if is_zero_const(func, lhs) {
-                        (Some(lhs), rhs)
+                    let other = if is_zero_const(func, lhs) {
+                        Some(rhs)
                     } else if is_zero_const(func, rhs) {
-                        (Some(rhs), lhs)
+                        Some(lhs)
                     } else {
-                        (None, lhs)
+                        None
                     };
-                    if zero_side.is_some() && range_of(other).is_finite() {
-                        let zero = func.add_constant(Constant::F64(0.0));
-                        func.replace_all_uses(v, zero);
-                        func.unschedule(v);
-                        changed += 1;
-                    }
+                    other
+                        .filter(|&x| range_of(x).is_finite())
+                        .map(|_| Constant::F64(0.0))
                 }
-                BinOp::FDiv
-                    // x / x → 1.0 when x is finite and provably non-zero.
-                    if lhs == rhs => {
-                        let r = range_of(lhs);
-                        if r.is_finite() && r.excludes_zero() {
-                            let one = func.add_constant(Constant::F64(1.0));
-                            func.replace_all_uses(v, one);
-                            func.unschedule(v);
-                            changed += 1;
-                        }
-                    }
-                BinOp::FSub
-                    // x - x → 0.0 when x is finite (NaN - NaN would be NaN).
-                    if lhs == rhs && range_of(lhs).is_finite() => {
-                        let zero = func.add_constant(Constant::F64(0.0));
-                        func.replace_all_uses(v, zero);
-                        func.unschedule(v);
-                        changed += 1;
-                    }
-                _ => {}
+                // x / x → 1.0 when x is finite and provably non-zero.
+                BinOp::FDiv if lhs == rhs => {
+                    let r = range_of(lhs);
+                    (r.is_finite() && r.excludes_zero()).then_some(Constant::F64(1.0))
+                }
+                // x - x → 0.0 when x is finite (NaN - NaN would be NaN).
+                BinOp::FSub if lhs == rhs && range_of(lhs).is_finite() => Some(Constant::F64(0.0)),
+                _ => None,
+            };
+            if let Some(c) = replacement {
+                let k = consts.intern(func, c);
+                rw.replace(v, k);
+                rw.remove(v);
+                changed += 1;
             }
         }
     }
+    rw.commit(func);
     changed
 }
 

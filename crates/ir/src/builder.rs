@@ -8,6 +8,7 @@ use crate::constant::Constant;
 use crate::function::{BlockId, Function, Terminator, ValueData, ValueId, ValueKind};
 use crate::inst::{BinOp, CastKind, CmpPred, GepIndex, Inst, Intrinsic, UnOp};
 use crate::module::{FuncId, GlobalId};
+use crate::rewrite::ConstPool;
 use crate::types::Ty;
 
 /// Builder over a single function.
@@ -37,6 +38,9 @@ pub struct FunctionBuilder<'f> {
     /// Signature (param types, return type) of each function in the module,
     /// needed to type `call` results. Provided via [`Self::with_signatures`].
     signatures: Vec<(Vec<Ty>, Ty)>,
+    /// Index of the function's constants; every `const_*` call interns
+    /// through it.
+    consts: ConstPool,
 }
 
 impl<'f> FunctionBuilder<'f> {
@@ -47,6 +51,7 @@ impl<'f> FunctionBuilder<'f> {
     /// [`switch_to_block`]: Self::switch_to_block
     pub fn new(func: &'f mut Function) -> Self {
         FunctionBuilder {
+            consts: ConstPool::new(func),
             func,
             current: None,
             global_types: Vec::new(),
@@ -73,7 +78,9 @@ impl<'f> FunctionBuilder<'f> {
         self.func
     }
 
-    /// Mutably borrow the function being built.
+    /// Mutably borrow the function being built. Constants must still be
+    /// added through the `const_*` methods, which keep the builder's
+    /// constant index complete.
     pub fn func_mut(&mut self) -> &mut Function {
         self.func
     }
@@ -129,22 +136,22 @@ impl<'f> FunctionBuilder<'f> {
 
     /// Intern an `f64` constant.
     pub fn const_f64(&mut self, v: f64) -> ValueId {
-        self.func.add_constant(Constant::F64(v))
+        self.consts.intern(self.func, Constant::F64(v))
     }
 
     /// Intern an `f32` constant.
     pub fn const_f32(&mut self, v: f32) -> ValueId {
-        self.func.add_constant(Constant::F32(v))
+        self.consts.intern(self.func, Constant::F32(v))
     }
 
     /// Intern an `i64` constant.
     pub fn const_i64(&mut self, v: i64) -> ValueId {
-        self.func.add_constant(Constant::I64(v))
+        self.consts.intern(self.func, Constant::I64(v))
     }
 
     /// Intern a boolean constant.
     pub fn const_bool(&mut self, v: bool) -> ValueId {
-        self.func.add_constant(Constant::Bool(v))
+        self.consts.intern(self.func, Constant::Bool(v))
     }
 
     // ---- arithmetic ------------------------------------------------------

@@ -68,17 +68,17 @@ impl Constant {
         }
     }
 
-    /// Structural equality suitable for interning: compares float constants
-    /// bit-for-bit so that `0.0` and `-0.0` (and different NaN payloads)
-    /// remain distinct constants.
-    pub fn bit_eq(&self, other: &Constant) -> bool {
-        match (self, other) {
-            (Constant::F64(a), Constant::F64(b)) => a.to_bits() == b.to_bits(),
-            (Constant::F32(a), Constant::F32(b)) => a.to_bits() == b.to_bits(),
-            (Constant::I64(a), Constant::I64(b)) => a == b,
-            (Constant::Bool(a), Constant::Bool(b)) => a == b,
-            (Constant::Undef, Constant::Undef) => true,
-            _ => false,
+    /// Identity for interning: the variant tag and the payload's bits.
+    /// Float constants compare bit-for-bit, so `0.0` and `-0.0` (and
+    /// different NaN payloads) remain distinct constants, and no two
+    /// variants share a key.
+    pub fn bit_key(&self) -> (u8, u64) {
+        match self {
+            Constant::F64(v) => (0, v.to_bits()),
+            Constant::F32(v) => (1, u64::from(v.to_bits())),
+            Constant::I64(v) => (2, *v as u64),
+            Constant::Bool(b) => (3, u64::from(*b)),
+            Constant::Undef => (4, 0),
         }
     }
 }
@@ -133,10 +133,21 @@ mod tests {
     }
 
     #[test]
-    fn bit_equality_distinguishes_signed_zero() {
-        assert!(Constant::F64(0.0).bit_eq(&Constant::F64(0.0)));
-        assert!(!Constant::F64(0.0).bit_eq(&Constant::F64(-0.0)));
-        assert!(!Constant::F64(1.0).bit_eq(&Constant::I64(1)));
+    fn bit_keys_distinguish_signed_zero_and_variants() {
+        assert_eq!(Constant::F64(0.0).bit_key(), Constant::F64(0.0).bit_key());
+        let all = [
+            Constant::F64(0.0),
+            Constant::F64(-0.0),
+            Constant::F32(0.0),
+            Constant::I64(0),
+            Constant::Bool(false),
+            Constant::Undef,
+        ];
+        for (i, a) in all.iter().enumerate() {
+            for b in &all[i + 1..] {
+                assert_ne!(a.bit_key(), b.bit_key(), "{a:?} vs {b:?}");
+            }
+        }
     }
 
     #[test]

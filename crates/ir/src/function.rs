@@ -153,6 +153,13 @@ pub struct BlockData {
 
 /// An IR function: typed parameters, a return type, a value arena and a list
 /// of basic blocks in layout order.
+///
+/// Values live in the arena for the function's lifetime; a block schedules
+/// an instruction by listing its id. Passes never rewrite uses or unschedule
+/// instructions one at a time (each would be a scan of the whole function):
+/// they record replacements and removals in a [`Rewrite`](crate::Rewrite)
+/// and apply them in one linear commit, which leaves removed definitions in
+/// the arena, unscheduled.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Function {
     /// Function name, unique within its [module](crate::Module).
@@ -253,22 +260,15 @@ impl Function {
         id
     }
 
-    /// Intern a constant, reusing an existing value with the identical bit
-    /// pattern when possible.
+    /// Intern a constant, reusing the first existing value with the
+    /// identical bit pattern when there is one.
+    ///
+    /// Each call scans the value arena once. Code that interns constants
+    /// repeatedly — the [builder](crate::FunctionBuilder), and the passes
+    /// that fold or inline — keeps a [`ConstPool`](crate::ConstPool)
+    /// instead, which finds the same value by hash.
     pub fn add_constant(&mut self, c: Constant) -> ValueId {
-        for (i, v) in self.values.iter().enumerate() {
-            if let ValueKind::Const(existing) = &v.kind {
-                if existing.bit_eq(&c) {
-                    return ValueId::from_index(i);
-                }
-            }
-        }
-        let ty = c.ty();
-        self.add_value(ValueData {
-            kind: ValueKind::Const(c),
-            ty,
-            name: None,
-        })
+        crate::ConstPool::new(self).intern(self, c)
     }
 
     /// If `id` is a constant, return it.
@@ -309,33 +309,6 @@ impl Function {
             .sum()
     }
 
-    /// Replace every use of `from` with `to`, in instructions and
-    /// terminators. The definition of `from` is left in place (a later DCE
-    /// removes it if dead).
-    pub fn replace_all_uses(&mut self, from: ValueId, to: ValueId) {
-        let nvalues = self.values.len();
-        for i in 0..nvalues {
-            let id = ValueId::from_index(i);
-            if let ValueKind::Inst(inst) = &mut self.values[i].kind {
-                inst.map_operands(|v| if v == from { to } else { v });
-            }
-            let _ = id;
-        }
-        for blk in &mut self.blocks {
-            if let Some(term) = &mut blk.term {
-                term.map_operands(|v| if v == from { to } else { v });
-            }
-        }
-    }
-
-    /// Remove an instruction id from whichever block contains it (the value
-    /// stays in the arena but is no longer scheduled).
-    pub fn unschedule(&mut self, id: ValueId) {
-        for blk in &mut self.blocks {
-            blk.insts.retain(|v| *v != id);
-        }
-    }
-
     /// Number of values in the SSA arena (register-file size for execution).
     pub fn value_count(&self) -> usize {
         self.values.len()
@@ -360,11 +333,6 @@ impl Function {
             }
         }
         preds
-    }
-
-    /// Find the block that schedules `id`, if any.
-    pub fn defining_block(&self, id: ValueId) -> Option<BlockId> {
-        self.block_order().find(|&b| self.block(b).insts.contains(&id))
     }
 }
 
@@ -409,27 +377,6 @@ mod tests {
         let d = f.add_constant(Constant::F64(0.0));
         assert_eq!(a, b);
         assert_ne!(c, d);
-    }
-
-    #[test]
-    fn replace_all_uses_rewrites_terminators() {
-        let mut f = sample_function();
-        let sum = ValueId::from_index(2);
-        let k = f.add_constant(Constant::F64(3.0));
-        f.replace_all_uses(sum, k);
-        let entry = f.entry_block().unwrap();
-        assert_eq!(f.block(entry).term, Some(Terminator::Ret(Some(k))));
-    }
-
-    #[test]
-    fn unschedule_removes_from_block() {
-        let mut f = sample_function();
-        let entry = f.entry_block().unwrap();
-        let sum = f.block(entry).insts[0];
-        assert_eq!(f.inst_count(), 1);
-        f.unschedule(sum);
-        assert_eq!(f.inst_count(), 0);
-        assert_eq!(f.defining_block(sum), None);
     }
 
     #[test]

@@ -17,7 +17,10 @@
 //! * CFG utilities (predecessors/successors, dominator tree, natural loop
 //!   detection) in [`mod@cfg`],
 //! * a structural [verifier](verify::verify_function) and a textual
-//!   [printer].
+//!   [printer],
+//! * the batched [rewrite] mechanism passes use to replace values and remove
+//!   instructions in one linear commit, plus a hashed [constant
+//!   pool](ConstPool).
 //!
 //! Memory is modelled in *slots* rather than bytes: every scalar (including
 //! pointers) occupies exactly one slot, an array of `n` elements occupies
@@ -56,6 +59,7 @@ pub mod function;
 pub mod inst;
 pub mod module;
 pub mod printer;
+pub mod rewrite;
 pub mod types;
 pub mod verify;
 
@@ -64,4 +68,5 @@ pub use constant::Constant;
 pub use function::{BlockData, BlockId, Function, Terminator, ValueData, ValueId, ValueKind};
 pub use inst::{BinOp, CastKind, CmpPred, GepIndex, Inst, Intrinsic, UnOp};
 pub use module::{FuncId, Global, GlobalId, Module};
+pub use rewrite::{ConstPool, Rewrite};
 pub use types::Ty;

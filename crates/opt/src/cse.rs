@@ -6,9 +6,20 @@
 //! dominating block. Loads are deliberately excluded: they are redundant
 //! only in the absence of intervening stores, which [`licm`](crate::licm)
 //! handles for the read-only parameter case.
+//!
+//! Each duplicate is forwarded to its dominating twin in a [`Rewrite`] and
+//! the whole function is rewritten in one commit at the end. Operands are
+//! resolved as each instruction is visited, so an expression whose operand
+//! was itself a duplicate keys on the surviving value, just as it would
+//! after an eager rewrite.
 
 use distill_ir::cfg::{Cfg, DomTree};
-use distill_ir::{BinOp, Function, Inst, Module, ValueId};
+use distill_ir::inst::GepIndex;
+use distill_ir::{
+    BinOp, BlockId, CastKind, CmpPred, Function, Inst, Intrinsic, Module, Rewrite, Ty, UnOp,
+    ValueId,
+};
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 
 /// Key identifying a pure computation up to operand order for commutative
@@ -16,13 +27,13 @@ use std::collections::HashMap;
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 enum ExprKey {
     Bin(BinOp, ValueId, ValueId),
-    Un(distill_ir::UnOp, ValueId),
-    Cmp(distill_ir::CmpPred, ValueId, ValueId),
+    Un(UnOp, ValueId),
+    Cmp(CmpPred, ValueId, ValueId),
     Select(ValueId, ValueId, ValueId),
-    Intrinsic(distill_ir::Intrinsic, Vec<ValueId>),
+    Intrinsic(Intrinsic, Vec<ValueId>),
     Gep(ValueId, Vec<GepKey>),
     GlobalAddr(usize),
-    Cast(distill_ir::CastKind, ValueId, String),
+    Cast(CastKind, ValueId, Ty),
 }
 
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
@@ -56,13 +67,13 @@ fn key_of(inst: &Inst) -> Option<ExprKey> {
             indices
                 .iter()
                 .map(|i| match i {
-                    distill_ir::inst::GepIndex::Const(c) => GepKey::Const(*c),
-                    distill_ir::inst::GepIndex::Dyn(v) => GepKey::Dyn(*v),
+                    GepIndex::Const(c) => GepKey::Const(*c),
+                    GepIndex::Dyn(v) => GepKey::Dyn(*v),
                 })
                 .collect(),
         )),
         Inst::GlobalAddr { global } => Some(ExprKey::GlobalAddr(global.index())),
-        Inst::Cast { kind, val, to } => Some(ExprKey::Cast(*kind, *val, to.to_string())),
+        Inst::Cast { kind, val, to } => Some(ExprKey::Cast(*kind, *val, to.clone())),
         _ => None,
     }
 }
@@ -77,7 +88,7 @@ pub fn run_function(func: &mut Function) -> usize {
 
     // Children lists of the dominator tree.
     let nblocks = func.blocks.len();
-    let mut children: Vec<Vec<distill_ir::BlockId>> = vec![Vec::new(); nblocks];
+    let mut children: Vec<Vec<BlockId>> = vec![Vec::new(); nblocks];
     for b in func.block_order() {
         if let Some(p) = dom.idom_of(b) {
             children[p.index()].push(b);
@@ -85,45 +96,46 @@ pub fn run_function(func: &mut Function) -> usize {
     }
 
     let mut replaced = 0;
+    let mut rw = Rewrite::new();
     let entry = func.entry_block().unwrap();
 
-    // Pre-order DFS over the dominator tree with a scoped table implemented
-    // as an undo log.
+    // Pre-order DFS over the dominator tree with a scoped table: each block
+    // records the keys it inserted and removes them when its subtree is
+    // done (a key is only inserted when absent, so removal restores the
+    // enclosing scope).
     let mut table: HashMap<ExprKey, ValueId> = HashMap::new();
-    let mut stack: Vec<(distill_ir::BlockId, bool)> = vec![(entry, false)];
-    let mut scopes: Vec<Vec<(ExprKey, Option<ValueId>)>> = Vec::new();
+    let mut stack: Vec<(BlockId, bool)> = vec![(entry, false)];
+    let mut scopes: Vec<Vec<ExprKey>> = Vec::new();
 
     while let Some((block, processed)) = stack.pop() {
         if processed {
             // Leaving the block's dominator subtree: undo its insertions.
             if let Some(undo) = scopes.pop() {
-                for (key, prev) in undo.into_iter().rev() {
-                    match prev {
-                        Some(v) => {
-                            table.insert(key, v);
-                        }
-                        None => {
-                            table.remove(&key);
-                        }
-                    }
+                for key in undo {
+                    table.remove(&key);
                 }
             }
             continue;
         }
         stack.push((block, true));
-        let mut undo: Vec<(ExprKey, Option<ValueId>)> = Vec::new();
+        let mut undo: Vec<ExprKey> = Vec::new();
 
-        let insts = func.block(block).insts.clone();
-        for v in insts {
-            let Some(inst) = func.as_inst(v) else { continue };
-            let Some(key) = key_of(inst) else { continue };
-            if let Some(&existing) = table.get(&key) {
-                func.replace_all_uses(v, existing);
-                func.unschedule(v);
-                replaced += 1;
-            } else {
-                undo.push((key.clone(), table.get(&key).copied()));
-                table.insert(key, v);
+        for i in 0..func.block(block).insts.len() {
+            let v = func.block(block).insts[i];
+            rw.resolve_operands(func, v);
+            let Some(key) = func.as_inst(v).and_then(key_of) else {
+                continue;
+            };
+            match table.entry(key) {
+                Entry::Occupied(existing) => {
+                    rw.replace(v, *existing.get());
+                    rw.remove(v);
+                    replaced += 1;
+                }
+                Entry::Vacant(slot) => {
+                    undo.push(slot.key().clone());
+                    slot.insert(v);
+                }
             }
         }
         scopes.push(undo);
@@ -131,6 +143,7 @@ pub fn run_function(func: &mut Function) -> usize {
             stack.push((c, false));
         }
     }
+    rw.commit(func);
     replaced
 }
 
@@ -252,5 +265,46 @@ mod tests {
         }
         assert_eq!(run(&mut m), 0);
         assert_eq!(m.function(fid).inst_count(), 4);
+    }
+
+    /// The duplicate `d` in the loop body feeds the header phi through the
+    /// back edge. The phi is visited before `d` is found redundant, so only
+    /// the commit can rewrite its incoming value.
+    #[test]
+    fn duplicate_feeding_a_back_edge_phi_is_rewritten() {
+        let mut m = Module::new("m");
+        let fid = m.declare_function("f", vec![Ty::F64], Ty::F64);
+        let (a, p) = {
+            let f = m.function_mut(fid);
+            let mut b = FunctionBuilder::new(f);
+            let entry = b.create_block("entry");
+            let header = b.create_block("header");
+            let body = b.create_block("body");
+            let exit = b.create_block("exit");
+            b.switch_to_block(entry);
+            let x = b.param(0);
+            let a = b.fmul(x, x);
+            b.br(header);
+            b.switch_to_block(header);
+            let p = b.empty_phi(Ty::F64);
+            b.add_phi_incoming(p, entry, a);
+            let c = b.cmp(CmpPred::FLt, p, x);
+            b.cond_br(c, body, exit);
+            b.switch_to_block(body);
+            let d = b.fmul(x, x); // redundant with `a`
+            b.add_phi_incoming(p, body, d);
+            b.br(header);
+            b.switch_to_block(exit);
+            b.ret(Some(p));
+            (a, p)
+        };
+        assert_eq!(run(&mut m), 1);
+        let f = m.function(fid);
+        let Some(Inst::Phi { incoming, .. }) = f.as_inst(p) else {
+            panic!("header phi lost");
+        };
+        assert!(incoming.iter().all(|&(_, v)| v == a), "{incoming:?}");
+        assert_eq!(f.inst_count(), 3);
+        distill_ir::verify::verify_module(&m).unwrap();
     }
 }

@@ -1,59 +1,61 @@
 //! Dead code elimination.
 //!
 //! Removes scheduled instructions whose results are never used and which
-//! have no side effects. Run repeatedly (chains of dead instructions die one
-//! layer per iteration of the internal fixpoint loop).
+//! have no side effects, in one linear sweep: every scheduled instruction
+//! and terminator contributes a use count to each of its operands, dead
+//! instructions seed a worklist, and removing one releases its operands'
+//! counts so a chain of dead instructions dies in the same sweep. The
+//! removals are applied with one [`Rewrite`] commit. Values kept alive only
+//! by each other (a cycle of phis) are not removed.
 
-use distill_ir::{Function, Module, ValueId, ValueKind};
-use std::collections::HashSet;
+use distill_ir::{Function, Module, Rewrite, ValueId, ValueKind};
+
+fn removable(func: &Function, v: ValueId) -> bool {
+    matches!(&func.value(v).kind, ValueKind::Inst(inst) if !inst.has_side_effects())
+}
 
 /// Remove dead instructions from one function; returns how many were removed.
 pub fn run_function(func: &mut Function) -> usize {
-    let mut removed = 0;
-    loop {
-        // Collect all used value ids (operands of scheduled instructions and
-        // terminators).
-        let mut used: HashSet<ValueId> = HashSet::new();
-        for b in func.block_order().collect::<Vec<_>>() {
-            let blk = func.block(b);
-            for &v in &blk.insts {
-                if let Some(inst) = func.as_inst(v) {
-                    for op in inst.operands() {
-                        used.insert(op);
-                    }
-                }
-            }
-            if let Some(term) = &blk.term {
-                for op in term.operands() {
-                    used.insert(op);
+    // Uses by scheduled instructions and terminators of laid-out blocks.
+    let mut uses = vec![0u32; func.value_count()];
+    let mut scheduled = vec![false; func.value_count()];
+    for &b in &func.layout {
+        let blk = func.block(b);
+        for &v in &blk.insts {
+            scheduled[v.index()] = true;
+            if let Some(inst) = func.as_inst(v) {
+                for op in inst.operands() {
+                    uses[op.index()] += 1;
                 }
             }
         }
-
-        // Unschedule instructions that are unused and effect-free.
-        let mut dead: Vec<ValueId> = Vec::new();
-        for b in func.block_order().collect::<Vec<_>>() {
-            for &v in &func.block(b).insts {
-                if used.contains(&v) {
-                    continue;
-                }
-                match &func.value(v).kind {
-                    ValueKind::Inst(inst) if !inst.has_side_effects() => dead.push(v),
-                    _ => {}
-                }
+        if let Some(term) = &blk.term {
+            for op in term.operands() {
+                uses[op.index()] += 1;
             }
         }
-        if dead.is_empty() {
-            break;
-        }
-        for v in &dead {
-            func.unschedule(*v);
-        }
-        removed += dead.len();
     }
+
+    let mut rw = Rewrite::new();
+    let mut work: Vec<ValueId> = (0..uses.len())
+        .map(ValueId::from_index)
+        .filter(|&v| scheduled[v.index()] && uses[v.index()] == 0 && removable(func, v))
+        .collect();
+    let mut removed = 0;
+    while let Some(v) = work.pop() {
+        rw.remove(v);
+        removed += 1;
+        for op in func.as_inst(v).map(|i| i.operands()).unwrap_or_default() {
+            let n = &mut uses[op.index()];
+            *n -= 1;
+            if *n == 0 && scheduled[op.index()] && removable(func, op) {
+                work.push(op);
+            }
+        }
+    }
+    rw.commit(func);
     removed
 }
-
 /// Run DCE over every defined function of a module.
 pub fn run(module: &mut Module) -> usize {
     let mut total = 0;

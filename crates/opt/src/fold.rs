@@ -6,34 +6,42 @@
 //! effect the paper attributes to "standard optimizations on LLVM IR"
 //! becoming possible once dynamic structures are gone (§3.5).
 
-use distill_ir::{BinOp, CastKind, CmpPred, Constant, Function, Inst, Intrinsic, Module, UnOp, ValueId};
+use distill_ir::{
+    BinOp, CastKind, CmpPred, ConstPool, Constant, Function, Inst, Intrinsic, Module, Rewrite,
+    UnOp, ValueId,
+};
 
 /// Fold constants in a single function. Returns the number of instructions
 /// replaced by constants or simplified operands.
+///
+/// Each round visits every scheduled instruction once, resolving its
+/// operands first so it sees the folds made earlier in the round, and
+/// commits the round's replacements and removals together. Rounds repeat
+/// until one changes nothing.
 pub fn run_function(func: &mut Function) -> usize {
     let mut changes = 0;
+    let mut consts = ConstPool::new(func);
+    let mut rw = Rewrite::new();
     loop {
         let mut round = 0;
-        let block_ids: Vec<_> = func.block_order().collect();
-        for b in block_ids {
-            let insts = func.block(b).insts.clone();
-            for v in insts {
-                if let Some(replacement) = try_fold(func, v) {
-                    match replacement {
-                        Folded::Const(c) => {
-                            let k = func.add_constant(c);
-                            func.replace_all_uses(v, k);
-                            func.unschedule(v);
-                        }
-                        Folded::Value(other) => {
-                            func.replace_all_uses(v, other);
-                            func.unschedule(v);
-                        }
-                    }
-                    round += 1;
-                }
+        for li in 0..func.layout.len() {
+            let b = func.layout[li];
+            for i in 0..func.block(b).insts.len() {
+                let v = func.block(b).insts[i];
+                rw.resolve_operands(func, v);
+                let Some(replacement) = try_fold(func, v) else {
+                    continue;
+                };
+                let to = match replacement {
+                    Folded::Const(c) => consts.intern(func, c),
+                    Folded::Value(other) => other,
+                };
+                rw.replace(v, to);
+                rw.remove(v);
+                round += 1;
             }
         }
+        rw.commit(func);
         changes += round;
         if round == 0 {
             break;
@@ -79,8 +87,7 @@ fn is_f64_const(func: &Function, v: ValueId, k: f64) -> bool {
 }
 
 fn try_fold(func: &Function, v: ValueId) -> Option<Folded> {
-    let inst = func.as_inst(v)?.clone();
-    match inst {
+    match *func.as_inst(v)? {
         Inst::Bin { op, lhs, rhs } => fold_bin(func, op, lhs, rhs),
         Inst::Un { op, val } => fold_un(func, op, val),
         Inst::Cmp { pred, lhs, rhs } => fold_cmp(func, pred, lhs, rhs),
@@ -99,7 +106,7 @@ fn try_fold(func: &Function, v: ValueId) -> Option<Folded> {
                 }
             }
         },
-        Inst::IntrinsicCall { kind, args } => fold_intrinsic(func, kind, &args),
+        Inst::IntrinsicCall { kind, ref args } => fold_intrinsic(func, kind, args),
         Inst::Cast { kind, val, .. } => fold_cast(func, kind, val),
         _ => None,
     }
@@ -463,5 +470,38 @@ mod tests {
         run(&mut m);
         let f = m.function(fid);
         assert_eq!(f.as_constant(ret_value(f)), Some(Constant::I64(3)));
+    }
+
+    /// `v = o + 0.0` is visited before `o = 2.0 * 3.0` (its block comes
+    /// first in the layout, though `o`'s block dominates it): `v` is
+    /// forwarded to `o`, then `o` is folded to a constant in the same round,
+    /// and the commit must resolve the chain `v → o → 6.0`.
+    #[test]
+    fn forwarded_value_later_folded_resolves_through_the_chain() {
+        let mut m = Module::new("m");
+        let fid = m.declare_function("f", vec![], Ty::F64);
+        {
+            let f = m.function_mut(fid);
+            let mut b = FunctionBuilder::new(f);
+            let entry = b.create_block("entry");
+            let late = b.create_block("late");
+            let early = b.create_block("early");
+            b.switch_to_block(entry);
+            let zero = b.const_f64(0.0);
+            let two = b.const_f64(2.0);
+            let three = b.const_f64(3.0);
+            b.br(early);
+            b.switch_to_block(early);
+            let o = b.fmul(two, three);
+            b.br(late);
+            b.switch_to_block(late);
+            let v = b.fadd(o, zero);
+            b.ret(Some(v));
+        }
+        assert_eq!(run_function(m.function_mut(fid)), 2);
+        let f = m.function(fid);
+        assert_eq!(f.as_constant(ret_value(f)), Some(Constant::F64(6.0)));
+        assert_eq!(f.inst_count(), 0);
+        distill_ir::verify::verify_module(&m).unwrap();
     }
 }

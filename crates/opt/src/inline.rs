@@ -9,10 +9,9 @@
 //! function.
 
 use distill_ir::{
-    BlockId, Constant, FuncId, Function, Inst, Module, Terminator, Ty, ValueData, ValueId,
-    ValueKind,
+    BlockId, ConstPool, Constant, FuncId, Function, Inst, Module, Rewrite, Terminator, Ty,
+    ValueData, ValueId, ValueKind,
 };
-use std::collections::HashMap;
 
 /// Inlining thresholds and limits.
 #[derive(Debug, Clone, Copy)]
@@ -44,67 +43,116 @@ pub fn run(module: &mut Module) -> usize {
 
 /// Inline with explicit options.
 pub fn run_with_options(module: &mut Module, opts: InlineOptions) -> usize {
-    let mut inlined = 0;
-    while let Some((caller, call_value)) = find_inlinable_call(module, &opts) {
-        inline_call(module, caller, call_value);
-        inlined += 1;
-        if inlined >= opts.max_inlined_calls {
-            break;
-        }
-    }
-    inlined
+    inline_calls(module, None, opts)
 }
 
 /// Inline every call site inside one function (used by clone detection to
 /// flatten a model before comparison). Returns the number inlined.
 pub fn inline_all_calls_in(module: &mut Module, func: FuncId, opts: InlineOptions) -> usize {
+    inline_calls(module, Some(func), opts)
+}
+
+/// The caller being inlined into, with its pending rewrite: the call
+/// results forwarded to the inlined return values, and the caller's
+/// constant index.
+struct OpenCaller {
+    id: FuncId,
+    rw: Rewrite,
+    consts: ConstPool,
+}
+
+impl OpenCaller {
+    fn new(module: &Module, id: FuncId) -> OpenCaller {
+        OpenCaller {
+            id,
+            rw: Rewrite::new(),
+            consts: ConstPool::new(module.function(id)),
+        }
+    }
+
+    fn commit(mut self, module: &mut Module) {
+        self.rw.commit(module.function_mut(self.id));
+    }
+}
+
+/// Inline call sites one at a time, always the first inlinable call in
+/// module order (function, then layout block, then position), within `only`
+/// when given. Each search resumes after the block of the previous site:
+/// inlining changes only the caller, whose earlier blocks held no
+/// inlinable call and whose self-calls never are, so nothing before that
+/// point can have become inlinable — unless the caller shrank (its callee
+/// was empty), which can bring it under the size limit for calls in
+/// earlier functions, and then the search starts over.
+///
+/// Uses of each inlined call are forwarded in the caller's [`Rewrite`],
+/// which is committed before another function is inlined into or cloned.
+fn inline_calls(module: &mut Module, only: Option<FuncId>, opts: InlineOptions) -> usize {
+    let start = (only.map_or(0, FuncId::index), 0);
+    let mut from = start;
+    let mut open: Option<OpenCaller> = None;
     let mut inlined = 0;
-    while let Some(call_value) = find_call_in_function(module, func, &opts) {
-        inline_call(module, func, call_value);
+    while let Some((caller, li, call_value, callee_insts)) = next_call(module, only, &opts, from) {
+        if let Some(o) = open.take_if(|o| o.id != caller) {
+            o.commit(module);
+        }
+        let site = open.get_or_insert_with(|| OpenCaller::new(module, caller));
+        inline_at(module, site, li, call_value);
+        from = if callee_insts == 0 {
+            start
+        } else {
+            (caller.index(), li + 1)
+        };
         inlined += 1;
         if inlined >= opts.max_inlined_calls {
             break;
         }
     }
+    if let Some(o) = open {
+        o.commit(module);
+    }
     inlined
 }
 
-fn call_is_inlinable(module: &Module, caller: FuncId, callee: FuncId, opts: &InlineOptions) -> bool {
+/// Size of `callee` when a call to it from `caller` may be inlined.
+fn inlinable_size(
+    module: &Module,
+    caller: FuncId,
+    callee: FuncId,
+    opts: &InlineOptions,
+) -> Option<usize> {
     if caller == callee {
-        return false;
+        return None;
     }
     let cf = module.function(callee);
     if cf.is_declaration || cf.layout.is_empty() {
-        return false;
+        return None;
     }
-    cf.inst_count() <= opts.max_callee_insts
+    Some(cf.inst_count()).filter(|&n| n <= opts.max_callee_insts)
 }
 
-fn find_inlinable_call(module: &Module, opts: &InlineOptions) -> Option<(FuncId, ValueId)> {
-    for (fid, func) in module.iter_functions() {
-        if func.is_declaration || func.layout.is_empty() {
+/// The first inlinable call at or after `from` (a function index and a
+/// layout position in it): its caller, layout position, value and callee
+/// size.
+fn next_call(
+    module: &Module,
+    only: Option<FuncId>,
+    opts: &InlineOptions,
+    (first_func, first_block): (usize, usize),
+) -> Option<(FuncId, usize, ValueId, usize)> {
+    let end = only.map_or(module.functions.len(), |f| f.index() + 1);
+    for fi in first_func..end {
+        let fid = FuncId::from_index(fi);
+        let func = module.function(fid);
+        if func.is_declaration {
             continue;
         }
-        for b in func.block_order() {
+        let skip = if fi == first_func { first_block } else { 0 };
+        for (li, &b) in func.layout.iter().enumerate().skip(skip) {
             for &v in &func.block(b).insts {
                 if let Some(Inst::Call { callee, .. }) = func.as_inst(v) {
-                    if call_is_inlinable(module, fid, *callee, opts) {
-                        return Some((fid, v));
+                    if let Some(n) = inlinable_size(module, fid, *callee, opts) {
+                        return Some((fid, li, v, n));
                     }
-                }
-            }
-        }
-    }
-    None
-}
-
-fn find_call_in_function(module: &Module, fid: FuncId, opts: &InlineOptions) -> Option<ValueId> {
-    let func = module.function(fid);
-    for b in func.block_order() {
-        for &v in &func.block(b).insts {
-            if let Some(Inst::Call { callee, .. }) = func.as_inst(v) {
-                if call_is_inlinable(module, fid, *callee, opts) {
-                    return Some(v);
                 }
             }
         }
@@ -117,19 +165,34 @@ fn find_call_in_function(module: &Module, fid: FuncId, opts: &InlineOptions) -> 
 /// # Panics
 /// Panics if `call_value` is not a call instruction scheduled in `caller`.
 pub fn inline_call(module: &mut Module, caller_id: FuncId, call_value: ValueId) {
+    let caller = module.function(caller_id);
+    let li = caller
+        .layout
+        .iter()
+        .position(|&b| caller.block(b).insts.contains(&call_value))
+        .expect("call is not scheduled");
+    let mut site = OpenCaller::new(module, caller_id);
+    inline_at(module, &mut site, li, call_value);
+    site.commit(module);
+}
+
+/// Inline `call_value`, scheduled in the block at layout position `li` of
+/// `site`'s caller. Uses of the call are forwarded in `site.rw`, not yet
+/// rewritten.
+fn inline_at(module: &mut Module, site: &mut OpenCaller, li: usize, call_value: ValueId) {
     let (callee_id, args) = {
-        let caller = module.function(caller_id);
+        let caller = module.function(site.id);
         match caller.as_inst(call_value) {
-            Some(Inst::Call { callee, args }) => (*callee, args.clone()),
+            Some(Inst::Call { callee, args }) => (
+                *callee,
+                args.iter().map(|&a| site.rw.resolve(a)).collect::<Vec<_>>(),
+            ),
             other => panic!("inline_call on non-call value: {other:?}"),
         }
     };
     let callee: Function = module.function(callee_id).clone();
-    let caller = module.function_mut(caller_id);
-
-    let call_block = caller
-        .defining_block(call_value)
-        .expect("call is not scheduled");
+    let caller = module.function_mut(site.id);
+    let call_block = caller.layout[li];
 
     // --- split the calling block at the call site -------------------------
     let call_pos = caller
@@ -150,8 +213,8 @@ pub fn inline_call(module: &mut Module, caller_id: FuncId, call_value: ValueId) 
     // to the continuation block.
     if let Some(term) = caller.block(cont_block).term.clone() {
         for succ in term.successors() {
-            let insts = caller.block(succ).insts.clone();
-            for v in insts {
+            for i in 0..caller.block(succ).insts.len() {
+                let v = caller.block(succ).insts[i];
                 if let Some(Inst::Phi { incoming, .. }) = caller.as_inst_mut(v) {
                     for (p, _) in incoming.iter_mut() {
                         if *p == call_block {
@@ -164,30 +227,28 @@ pub fn inline_call(module: &mut Module, caller_id: FuncId, call_value: ValueId) 
     }
 
     // --- clone callee blocks and values into the caller -------------------
-    let mut value_map: HashMap<ValueId, ValueId> = HashMap::new();
-    let mut block_map: HashMap<BlockId, BlockId> = HashMap::new();
-
-    for (i, cb) in callee.layout.iter().enumerate() {
+    let mut block_map: Vec<Option<BlockId>> = vec![None; callee.blocks.len()];
+    for cb in &callee.layout {
         let name = format!("inline.{}.{}", callee.name, callee.block(*cb).name);
-        let nb = caller.add_block(name);
-        block_map.insert(*cb, nb);
-        let _ = i;
+        block_map[cb.index()] = Some(caller.add_block(name));
     }
+    let block_of = |b: BlockId| block_map[b.index()].expect("callee block outside its layout");
 
     // First pass: create caller values for every callee value.
-    for (i, vd) in callee.values.iter().enumerate() {
-        let callee_vid = ValueId::from_index(i);
-        let mapped = match &vd.kind {
+    let value_map: Vec<ValueId> = callee
+        .values
+        .iter()
+        .map(|vd| match &vd.kind {
             ValueKind::Param(p) => args[*p],
-            ValueKind::Const(c) => caller.add_constant(*c),
+            ValueKind::Const(c) => site.consts.intern(caller, *c),
             ValueKind::Inst(inst) => caller.add_value(ValueData {
                 kind: ValueKind::Inst(inst.clone()),
                 ty: vd.ty.clone(),
                 name: vd.name.clone(),
             }),
-        };
-        value_map.insert(callee_vid, mapped);
-    }
+        })
+        .collect();
+    let map = |v: ValueId| value_map[v.index()];
 
     // Second pass: remap operands (and phi incoming blocks) of the cloned
     // instructions.
@@ -195,12 +256,11 @@ pub fn inline_call(module: &mut Module, caller_id: FuncId, call_value: ValueId) 
         if !matches!(vd.kind, ValueKind::Inst(_)) {
             continue;
         }
-        let mapped_id = value_map[&ValueId::from_index(i)];
-        if let Some(inst) = caller.as_inst_mut(mapped_id) {
-            inst.map_operands(|v| value_map[&v]);
+        if let Some(inst) = caller.as_inst_mut(value_map[i]) {
+            inst.map_operands(map);
             if let Inst::Phi { incoming, .. } = inst {
                 for (b, _) in incoming.iter_mut() {
-                    *b = block_map[b];
+                    *b = block_of(*b);
                 }
             }
         }
@@ -210,24 +270,22 @@ pub fn inline_call(module: &mut Module, caller_id: FuncId, call_value: ValueId) 
     // become branches to the continuation block.
     let mut return_edges: Vec<(BlockId, Option<ValueId>)> = Vec::new();
     for cb in &callee.layout {
-        let nb = block_map[cb];
+        let nb = block_of(*cb);
         let src = callee.block(*cb);
-        let insts: Vec<ValueId> = src.insts.iter().map(|v| value_map[v]).collect();
-        caller.block_mut(nb).insts = insts;
+        caller.block_mut(nb).insts = src.insts.iter().map(|&v| map(v)).collect();
         let term = match src.term.clone().expect("callee block lacks terminator") {
-            Terminator::Br(t) => Terminator::Br(block_map[&t]),
+            Terminator::Br(t) => Terminator::Br(block_of(t)),
             Terminator::CondBr {
                 cond,
                 then_blk,
                 else_blk,
             } => Terminator::CondBr {
-                cond: value_map[&cond],
-                then_blk: block_map[&then_blk],
-                else_blk: block_map[&else_blk],
+                cond: map(cond),
+                then_blk: block_of(then_blk),
+                else_blk: block_of(else_blk),
             },
             Terminator::Ret(val) => {
-                let mapped = val.map(|v| value_map[&v]);
-                return_edges.push((nb, mapped));
+                return_edges.push((nb, val.map(map)));
                 Terminator::Br(cont_block)
             }
             Terminator::Unreachable => Terminator::Unreachable,
@@ -236,7 +294,7 @@ pub fn inline_call(module: &mut Module, caller_id: FuncId, call_value: ValueId) 
     }
 
     // --- wire up entry and the return value --------------------------------
-    let callee_entry = block_map[&callee.entry_block().expect("callee has no entry")];
+    let callee_entry = block_of(callee.entry_block().expect("callee has no entry"));
     caller.block_mut(call_block).term = Some(Terminator::Br(callee_entry));
 
     if callee.ret_ty != Ty::Void {
@@ -262,15 +320,11 @@ pub fn inline_call(module: &mut Module, caller_id: FuncId, call_value: ValueId) 
                 Some(phi)
             }
         };
-        if let Some(rv) = ret_value {
-            caller.replace_all_uses(call_value, rv);
-        } else {
-            // Callee never returns normally; uses of the call are undefined.
-            let undef = caller.add_constant(Constant::Undef);
-            caller.replace_all_uses(call_value, undef);
-        }
+        // A callee that never returns normally leaves the call's uses
+        // undefined.
+        let rv = ret_value.unwrap_or_else(|| site.consts.intern(caller, Constant::Undef));
+        site.rw.replace(call_value, rv);
     }
-    caller.unschedule(call_value);
 }
 
 #[cfg(test)]

@@ -90,9 +90,10 @@ pub fn run_function(module_globals_immutable: &[bool], func: &mut Function) -> u
                 continue;
             }
             // Move them to the preheader, before its terminator, preserving
-            // the discovered order (defs before uses).
-            for v in &to_hoist {
-                func.unschedule(*v);
+            // the discovered order (defs before uses). They were found in
+            // the loop's blocks, so only those need filtering.
+            for &b in &blocks_in_loop {
+                func.block_mut(b).insts.retain(|v| !hoisted_set.contains(v));
             }
             let ph = func.block_mut(preheader);
             for v in to_hoist {

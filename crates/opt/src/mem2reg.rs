@@ -10,39 +10,66 @@
 //! `distill-analysis` all work on the SSA values this pass exposes.
 
 use distill_ir::cfg::{Cfg, DomTree};
-use distill_ir::{BlockId, Constant, Function, Inst, Module, Ty, ValueData, ValueId, ValueKind};
+use distill_ir::{
+    BlockId, Constant, Function, Inst, Module, Rewrite, Ty, ValueData, ValueId, ValueKind,
+};
 use std::collections::{HashMap, HashSet};
 
+/// Promotion state shared by the renaming walk.
+struct Promotion {
+    /// `slot[v]`: index into `allocas` when `v` is a promoted alloca.
+    slot: Vec<Option<usize>>,
+    /// Phis placed per block: `(alloca slot, phi)`, in placement order.
+    phis: Vec<Vec<(usize, ValueId)>>,
+    /// Reaching definition per alloca slot, as a stack of scopes.
+    current: Vec<Vec<ValueId>>,
+    /// Loads forwarded to their reaching definitions.
+    rw: Rewrite,
+}
+
+impl Promotion {
+    fn slot_of(&self, v: ValueId) -> Option<usize> {
+        self.slot.get(v.index()).copied().flatten()
+    }
+}
+
 /// Promote allocas in one function; returns the number of promoted slots.
+///
+/// Allocas are processed in `ValueId` order, so phi placement — and with it
+/// the printed IR — is the same on every compile.
 pub fn run_function(func: &mut Function) -> usize {
     if func.layout.is_empty() {
         return 0;
     }
-    let candidates = promotable_allocas(func);
-    if candidates.is_empty() {
+    let allocas = promotable_allocas(func);
+    if allocas.is_empty() {
         return 0;
     }
     let cfg = Cfg::new(func);
     let dom = DomTree::new(func, &cfg);
     let frontiers = dominance_frontiers(func, &cfg, &dom);
 
-    // Definition and use blocks per alloca.
-    let mut def_blocks: HashMap<ValueId, Vec<BlockId>> = HashMap::new();
-    for b in func.block_order().collect::<Vec<_>>() {
+    let mut slot = vec![None; func.value_count()];
+    for (i, (a, _)) in allocas.iter().enumerate() {
+        slot[a.index()] = Some(i);
+    }
+
+    // Definition blocks per alloca.
+    let mut def_blocks: Vec<Vec<BlockId>> = vec![Vec::new(); allocas.len()];
+    for &b in &func.layout {
         for &v in &func.block(b).insts {
             if let Some(Inst::Store { ptr, .. }) = func.as_inst(v) {
-                if candidates.contains_key(ptr) {
-                    def_blocks.entry(*ptr).or_default().push(b);
+                if let Some(s) = slot.get(ptr.index()).copied().flatten() {
+                    def_blocks[s].push(b);
                 }
             }
         }
     }
 
     // Insert phi nodes at iterated dominance frontiers.
-    // phi_for[(block, alloca)] = phi value id
-    let mut phi_for: HashMap<(BlockId, ValueId), ValueId> = HashMap::new();
-    for (&alloca, ty) in &candidates {
-        let mut work: Vec<BlockId> = def_blocks.get(&alloca).cloned().unwrap_or_default();
+    let mut phis: Vec<Vec<(usize, ValueId)>> = vec![Vec::new(); func.blocks.len()];
+    for (s, (_, ty)) in allocas.iter().enumerate() {
+        let mut work: Vec<BlockId> = std::mem::take(&mut def_blocks[s]);
         let mut placed: HashSet<BlockId> = HashSet::new();
         let mut visited: HashSet<BlockId> = work.iter().copied().collect();
         while let Some(b) = work.pop() {
@@ -57,7 +84,7 @@ pub fn run_function(func: &mut Function) -> usize {
                         name: Some("mem2reg.phi".into()),
                     });
                     func.block_mut(df).insts.insert(0, phi);
-                    phi_for.insert((df, alloca), phi);
+                    phis[df.index()].push((s, phi));
                     if visited.insert(df) {
                         work.push(df);
                     }
@@ -76,76 +103,65 @@ pub fn run_function(func: &mut Function) -> usize {
     }
     let entry = func.entry_block().unwrap();
     let undef = func.add_constant(Constant::Undef);
-
-    // Current reaching definition per alloca, managed as a stack of scopes.
-    let mut current: HashMap<ValueId, Vec<ValueId>> = candidates
-        .keys()
-        .map(|&a| (a, vec![undef]))
-        .collect();
-
-    rename_block(
-        func,
-        &cfg,
-        &children,
-        &candidates,
-        &phi_for,
-        &mut current,
-        entry,
-    );
+    let mut st = Promotion {
+        slot,
+        phis,
+        current: vec![vec![undef]; allocas.len()],
+        rw: Rewrite::new(),
+    };
+    rename_block(func, &cfg, &children, &mut st, entry);
 
     // Remove the now-dead allocas, loads and stores.
-    let mut to_remove: Vec<ValueId> = Vec::new();
-    for b in func.block_order().collect::<Vec<_>>() {
+    let mut rw = std::mem::take(&mut st.rw);
+    for &b in &func.layout {
         for &v in &func.block(b).insts {
-            match func.as_inst(v) {
-                Some(Inst::Alloca { .. }) if candidates.contains_key(&v) => to_remove.push(v),
-                Some(Inst::Store { ptr, .. }) if candidates.contains_key(ptr) => to_remove.push(v),
-                Some(Inst::Load { ptr }) if candidates.contains_key(ptr) => to_remove.push(v),
-                _ => {}
+            let promoted = match func.as_inst(v) {
+                Some(Inst::Alloca { .. }) => st.slot_of(v).is_some(),
+                Some(Inst::Store { ptr, .. } | Inst::Load { ptr }) => {
+                    st.slot_of(rw.resolve(*ptr)).is_some()
+                }
+                _ => false,
+            };
+            if promoted {
+                rw.remove(v);
             }
         }
     }
-    for v in to_remove {
-        func.unschedule(v);
-    }
-    candidates.len()
+    rw.commit(func);
+    allocas.len()
 }
 
-#[allow(clippy::too_many_arguments)]
 fn rename_block(
     func: &mut Function,
     cfg: &Cfg,
     children: &[Vec<BlockId>],
-    candidates: &HashMap<ValueId, Ty>,
-    phi_for: &HashMap<(BlockId, ValueId), ValueId>,
-    current: &mut HashMap<ValueId, Vec<ValueId>>,
+    st: &mut Promotion,
     block: BlockId,
 ) {
-    let mut pushed: Vec<ValueId> = Vec::new();
+    let mut pushed: Vec<usize> = Vec::new();
 
     // Phi nodes placed in this block become the new reaching definitions.
-    for (&(b, alloca), &phi) in phi_for.iter() {
-        if b == block {
-            current.get_mut(&alloca).unwrap().push(phi);
-            pushed.push(alloca);
-        }
+    for &(s, phi) in &st.phis[block.index()] {
+        st.current[s].push(phi);
+        pushed.push(s);
     }
 
-    // Walk instructions: replace loads, record stores.
-    let insts = func.block(block).insts.clone();
-    for v in insts {
-        let inst = match func.as_inst(v) {
-            Some(i) => i.clone(),
-            None => continue,
-        };
-        match inst {
-            Inst::Load { ptr } if candidates.contains_key(&ptr) => {
-                let cur = *current[&ptr].last().unwrap();
-                func.replace_all_uses(v, cur);
+    // Walk instructions: forward loads, record stores.
+    for i in 0..func.block(block).insts.len() {
+        let v = func.block(block).insts[i];
+        st.rw.resolve_operands(func, v);
+        match func.as_inst(v) {
+            Some(&Inst::Load { ptr }) => {
+                if let Some(s) = st.slot_of(ptr) {
+                    let cur = *st.current[s].last().unwrap();
+                    st.rw.replace(v, cur);
+                }
             }
-            Inst::Store { ptr, value } if candidates.contains_key(&ptr) => {
-                current.get_mut(&ptr).unwrap().push(value);
-                pushed.push(ptr);
+            Some(&Inst::Store { ptr, value }) => {
+                if let Some(s) = st.slot_of(ptr) {
+                    st.current[s].push(value);
+                    pushed.push(s);
+                }
             }
             _ => {}
         }
@@ -153,11 +169,8 @@ fn rename_block(
 
     // Fill phi incoming edges of successors.
     for &succ in cfg.succs_of(block) {
-        for (&(b, alloca), &phi) in phi_for.iter() {
-            if b != succ {
-                continue;
-            }
-            let cur = *current[&alloca].last().unwrap();
+        for &(s, phi) in &st.phis[succ.index()] {
+            let cur = *st.current[s].last().unwrap();
             if let Some(Inst::Phi { incoming, .. }) = func.as_inst_mut(phi) {
                 incoming.push((block, cur));
             }
@@ -166,18 +179,18 @@ fn rename_block(
 
     // Recurse into dominator-tree children.
     for &c in &children[block.index()] {
-        rename_block(func, cfg, children, candidates, phi_for, current, c);
+        rename_block(func, cfg, children, st, c);
     }
 
     // Pop this block's definitions.
-    for alloca in pushed {
-        current.get_mut(&alloca).unwrap().pop();
+    for s in pushed {
+        st.current[s].pop();
     }
 }
 
 /// Allocas of scalar type whose address is only ever used as the pointer
-/// operand of loads and stores.
-fn promotable_allocas(func: &Function) -> HashMap<ValueId, Ty> {
+/// operand of loads and stores, in `ValueId` order.
+fn promotable_allocas(func: &Function) -> Vec<(ValueId, Ty)> {
     let mut allocas: HashMap<ValueId, Ty> = HashMap::new();
     for b in func.block_order() {
         for &v in &func.block(b).insts {
@@ -189,7 +202,7 @@ fn promotable_allocas(func: &Function) -> HashMap<ValueId, Ty> {
         }
     }
     if allocas.is_empty() {
-        return allocas;
+        return Vec::new();
     }
     // Disqualify any alloca that escapes.
     for b in func.block_order() {
@@ -197,12 +210,9 @@ fn promotable_allocas(func: &Function) -> HashMap<ValueId, Ty> {
             let Some(inst) = func.as_inst(v) else { continue };
             match inst {
                 Inst::Load { .. } => {}
-                Inst::Store { ptr, value } => {
+                Inst::Store { value, .. } => {
                     // Storing the address itself disqualifies it.
-                    if allocas.contains_key(value) {
-                        allocas.remove(value);
-                    }
-                    let _ = ptr;
+                    allocas.remove(value);
                 }
                 other => {
                     for op in other.operands() {
@@ -217,7 +227,9 @@ fn promotable_allocas(func: &Function) -> HashMap<ValueId, Ty> {
             }
         }
     }
-    allocas
+    let mut sorted: Vec<(ValueId, Ty)> = allocas.into_iter().collect();
+    sorted.sort_by_key(|(v, _)| *v);
+    sorted
 }
 
 fn dominance_frontiers(

@@ -12,7 +12,7 @@
 //! them.
 
 use distill_ir::cfg::Cfg;
-use distill_ir::{BlockId, Function, Inst, Module, Terminator};
+use distill_ir::{BlockId, Function, Inst, Module, Rewrite, Terminator};
 use std::collections::HashSet;
 
 /// Simplify the CFG of one function; returns the number of changes applied.
@@ -21,11 +21,14 @@ pub fn run_function(func: &mut Function) -> usize {
         return 0;
     }
     let mut changes = 0;
+    let mut rw = Rewrite::new();
     loop {
         let mut round = 0;
         round += fold_constant_branches(func);
         round += remove_unreachable_blocks(func);
-        round += merge_straightline_blocks(func);
+        round += merge_straightline_blocks(func, &mut rw);
+        // The next round's branch folding reads terminator conditions.
+        rw.commit(func);
         changes += round;
         if round == 0 {
             break;
@@ -134,47 +137,51 @@ fn remove_unreachable_blocks(func: &mut Function) -> usize {
     ndead
 }
 
-fn merge_straightline_blocks(func: &mut Function) -> usize {
+/// Merge every block that ends in `br succ` with `succ` when `succ` has no
+/// other predecessor, in one walk over the layout. A merge leaves every
+/// remaining block's predecessor count unchanged (the edges out of `succ`
+/// now leave `b`), so one CFG serves the whole walk; `b` is re-examined
+/// after each merge because it now ends in `succ`'s terminator. The phis of
+/// a merged block have one incoming value each and are forwarded to it in
+/// `rw`.
+fn merge_straightline_blocks(func: &mut Function, rw: &mut Rewrite) -> usize {
+    let cfg = Cfg::new(func);
+    let entry = func.entry_block().unwrap();
+    let mut merged = vec![false; func.blocks.len()];
     let mut changes = 0;
-    loop {
-        let cfg = Cfg::new(func);
-        let mut merged = false;
-        for b in func.block_order().collect::<Vec<_>>() {
-            let Some(Terminator::Br(succ)) = func.block(b).term.clone() else {
-                continue;
-            };
-            if succ == b {
-                continue;
+    for li in 0..func.layout.len() {
+        let b = func.layout[li];
+        if merged[b.index()] {
+            continue;
+        }
+        while let Some(Terminator::Br(succ)) = func.block(b).term.clone() {
+            if succ == b || cfg.preds_of(succ).len() != 1 || succ == entry {
+                break;
             }
-            if cfg.preds_of(succ).len() != 1 {
-                continue;
-            }
-            if succ == func.entry_block().unwrap() {
-                continue;
-            }
-            // Replace phi nodes in `succ` (they have a single incoming edge).
-            let succ_insts = func.block(succ).insts.clone();
-            for v in &succ_insts {
-                if let Some(Inst::Phi { incoming, .. }) = func.as_inst(*v) {
-                    assert!(incoming.len() <= 1, "single-pred block with multi-edge phi");
-                    if let Some((_, val)) = incoming.first().copied() {
-                        func.replace_all_uses(*v, val);
+            // Forward the phi nodes of `succ` (they have a single incoming
+            // edge) and move the remaining instructions and the terminator
+            // up into `b`.
+            let succ_insts = std::mem::take(&mut func.block_mut(succ).insts);
+            let succ_term = func.block_mut(succ).term.take();
+            let mut body = Vec::with_capacity(succ_insts.len());
+            for v in succ_insts {
+                match func.as_inst(v) {
+                    Some(Inst::Phi { incoming, .. }) => {
+                        assert!(incoming.len() <= 1, "single-pred block with multi-edge phi");
+                        if let Some(&(_, val)) = incoming.first() {
+                            rw.replace(v, val);
+                        }
                     }
-                    func.unschedule(*v);
+                    _ => body.push(v),
                 }
             }
-            // Move remaining instructions and the terminator up into `b`.
-            let succ_insts = func.block(succ).insts.clone();
-            let succ_term = func.block(succ).term.clone();
-            func.block_mut(succ).insts.clear();
-            func.block_mut(succ).term = None;
-            func.block_mut(b).insts.extend(succ_insts);
+            func.block_mut(b).insts.extend(body);
             func.block_mut(b).term = succ_term;
             // Phi nodes in the successors of `succ` must now name `b`.
             if let Some(term) = func.block(b).term.clone() {
                 for s in term.successors() {
-                    let insts = func.block(s).insts.clone();
-                    for v in insts {
+                    for i in 0..func.block(s).insts.len() {
+                        let v = func.block(s).insts[i];
                         if let Some(Inst::Phi { incoming, .. }) = func.as_inst_mut(v) {
                             for (p, _) in incoming.iter_mut() {
                                 if *p == succ {
@@ -185,14 +192,12 @@ fn merge_straightline_blocks(func: &mut Function) -> usize {
                     }
                 }
             }
-            func.layout.retain(|x| *x != succ);
+            merged[succ.index()] = true;
             changes += 1;
-            merged = true;
-            break;
         }
-        if !merged {
-            break;
-        }
+    }
+    if changes > 0 {
+        func.layout.retain(|x| !merged[x.index()]);
     }
     changes
 }

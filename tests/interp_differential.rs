@@ -256,6 +256,54 @@ fn fig7_opt_levels_are_bit_identical() {
     }
 }
 
+/// Trial outputs (return value and output bits) of `trials` trials on one
+/// engine with the default configuration.
+fn default_tier_trials(
+    w: &Workload,
+    artifact: &CompiledModel,
+    trials: usize,
+) -> Vec<(Result<Value, ExecError>, Vec<u64>)> {
+    let trial_fn = artifact
+        .trial_func
+        .expect("whole-model artifact has a trial function");
+    let out_len = artifact.layout.trial_output_len;
+    let mut engine = Engine::new(artifact.module.clone());
+    (0..trials)
+        .map(|trial| {
+            engine
+                .write_global_f64(gn::EXT_INPUT, &flatten(w, artifact, trial))
+                .unwrap();
+            let r = engine.call(trial_fn, &[Value::I64(trial as i64)]);
+            let bits = engine.read_global_f64(gn::TRIAL_OUTPUT).unwrap()[..out_len]
+                .iter()
+                .map(|v| v.to_bits())
+                .collect();
+            (r, bits)
+        })
+        .collect()
+}
+
+#[test]
+fn every_registered_family_is_bit_identical_across_opt_levels() {
+    // Fig. 7 varies only the cost of compiling: every level must compute
+    // the same bits as unoptimized code, on every registered family.
+    for spec in registry::registry() {
+        let w = spec.build(Scale::Reduced);
+        let mut runs = OptLevel::all().into_iter().map(|level| {
+            let config = CompileConfig {
+                opt_level: level,
+                ..CompileConfig::default()
+            };
+            let artifact = compile(&w.model, config).expect("compilation succeeds");
+            (level, default_tier_trials(&w, &artifact, 2))
+        });
+        let (_, o0) = runs.next().expect("O0 is a level");
+        for (level, got) in runs {
+            assert_eq!(got, o0, "{}: {level} vs O0", spec.name);
+        }
+    }
+}
+
 // ---------------------------------------------------------------------------
 // Targeted edge cases
 // ---------------------------------------------------------------------------
