@@ -5,14 +5,30 @@
 //! Uses the core crate's test hook (`distill::test_hooks::panic_on_trial`)
 //! to detonate a chosen trial. The hook is process-global, so this suite
 //! lives in its own integration-test binary — the harness gives it its own
-//! process — and every test disarms the hook before returning.
+//! process — and every test disarms the hook before returning. The harness
+//! still runs the tests of one binary on parallel threads, so each test holds
+//! `HOOK_LOCK` while the hook is armed; otherwise one test's armed trial
+//! fires inside the other's run.
+
+use std::sync::{Mutex, MutexGuard};
 
 use distill::{DistillError, RunSpec, Session};
 
 const TRIALS: usize = 24;
 
+static HOOK_LOCK: Mutex<()> = Mutex::new(());
+
+/// Serialize the tests that arm the process-global hook. A test that failed
+/// while holding the lock poisons it; the hook is re-disarmed either way.
+fn hook_lock() -> MutexGuard<'static, ()> {
+    let guard = HOOK_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    distill::test_hooks::panic_on_trial(None);
+    guard
+}
+
 #[test]
 fn panicking_shard_worker_surfaces_as_driver_error() {
+    let _hook = hook_lock();
     let w = distill_models::predator_prey_s();
     let spec = RunSpec::new(w.inputs.clone(), TRIALS)
         .with_batch(4)
@@ -54,6 +70,7 @@ fn serial_path_reports_the_injected_panic_too() {
     // it panics on the caller thread, which is an unwind `run` does not
     // catch, so this test pins the *sharded* path as the panic-safe one and
     // documents the difference.
+    let _hook = hook_lock();
     let w = distill_models::predator_prey_s();
     distill::test_hooks::panic_on_trial(Some(2));
     let outcome = std::panic::catch_unwind(|| {
