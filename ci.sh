@@ -64,9 +64,9 @@ echo "== figures (reduced workloads incl. the sweep + fused + tiers + serve + ds
 # The default run covers every figure, including `sweep` — the reduced
 # registry sweep (serial vs sharded+batched per family, bit-identity
 # verified) — `fused` (the superinstruction path vs the unfused predecoded
-# interpreter), `tiers` (direct-threaded dispatch vs the fused
-# interpreter, plus the adaptive tier-up probe), `serve` (the serving
-# daemon's coalesced throughput vs sequential solo replay), `dsweep`
+# interpreter), `tiers` (direct-threaded dispatch, the default tier, vs the
+# fused interpreter), `serve` (the serving daemon's coalesced throughput
+# vs sequential solo replay), `dsweep`
 # (the distributed sweep with a seeded worker kill vs serial), `chaos`
 # (open-loop serving clean vs with a seeded worker panic absorbed) and
 # `telemetry` (the probe layer's fused-tier cost with telemetry on vs the
@@ -84,9 +84,9 @@ echo "== bench-diff (trajectory gate: history -> committed baseline -> fresh run
 # interpreter), the fused-superinstruction speedup (>= 1.15x over the
 # predecoded interpreter, bit-identical outputs), the direct-threaded
 # dispatch speedup (>= 1.05x over the fused interpreter on the cost-skewed
-# anchor, bit-identical to fused and to the reference oracle, adaptive
-# probe promoting and matching), the sweep subsystem's sharded+batched
-# speedup (>= 1.5x over per-trial multicore grid search), the serving
+# anchor, bit-identical to fused and to the reference oracle), the sweep
+# subsystem's sharded+batched speedup (>= 1.5x over per-trial multicore
+# grid search), the serving
 # daemon's throughput bound (coalesced serving >= 0.75x of sequential solo
 # replay — an overhead bound, not a speedup gate, so it holds on
 # single-core runners), the distributed sweep's recovery gate (clean and

@@ -216,7 +216,7 @@ fn main() {
             },
             // Shorthand for `--fig tiers`: direct-threaded dispatch vs the
             // fused interpreter on the cost-skewed predator-prey anchor and
-            // the Fig. 2 family, plus the adaptive tier-up probe.
+            // the Fig. 2 family.
             "--tiers" => match &fig {
                 Some(f) if f != "tiers" => {
                     eprintln!("error: --tiers conflicts with --fig {f}");

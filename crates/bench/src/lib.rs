@@ -12,8 +12,8 @@
 use criterion::json::Json;
 use distill::{
     analysis, compile, global_names as gn, parallel_argmin, parallel_argmin_static,
-    time_baseline, time_distill, CompileConfig, CompileMode, Engine, ExecConfig, ExecMode,
-    GpuConfig, Measurement, OptLevel, RunSpec, Session, Target, Tier, TierPolicy, Value,
+    time_baseline, time_distill, CompileConfig, CompileMode, Engine, ExecMode,
+    GpuConfig, Measurement, OptLevel, RunSpec, Session, Target, Tier, Value,
 };
 use distill_models::{
     botvinick_stroop, extended_stroop_a, extended_stroop_b, figure4_models, multitasking,
@@ -781,13 +781,12 @@ fn ab_trial_comparison(
 /// The fast side is pinned to the **unfused** decoded path: this figure
 /// isolates the PR 3 predecode win (its ≥ 2x CI gate must track that layer
 /// alone), while the fusion layer's win is measured separately by
-/// [`fig_fused`]. Pinning also keeps the measurement independent of the
-/// `DISTILL_TIER` environment.
+/// [`fig_fused`].
 pub fn fig_interp(trials: usize, samples: usize) -> InterpReport {
     let w = predator_prey_s();
     let artifact = compile(&w.model, CompileConfig::default()).expect("compilation succeeds");
-    let mut fast = Engine::with_config(artifact.module.clone(), ExecConfig::fixed(Tier::Decoded));
-    let mut slow = Engine::with_config(artifact.module.clone(), ExecConfig::fixed(Tier::Decoded));
+    let mut fast = Engine::with_tier(artifact.module.clone(), Tier::Decoded);
+    let mut slow = Engine::with_tier(artifact.module.clone(), Tier::Decoded);
     let ab = ab_trial_comparison(
         &w,
         &artifact,
@@ -939,12 +938,9 @@ fn fused_workload(spec_name: &str, trials: usize, samples: usize) -> FusedWorklo
     let w = spec.build(Scale::Reduced);
     let artifact = compile(&w.model, CompileConfig::default()).expect("compilation succeeds");
     // Two engines over the same module: one runs the fused fast path, the
-    // other the retained unfused predecoded path. Both sides are pinned
-    // explicitly — an inherited DISTILL_TIER must not turn this
-    // A/B into decoded-vs-decoded (and the decoded side skips the unused
-    // fuse pass).
-    let mut fused = Engine::with_config(artifact.module.clone(), ExecConfig::fixed(Tier::Fused));
-    let mut decoded = Engine::with_config(artifact.module.clone(), ExecConfig::fixed(Tier::Decoded));
+    // other the retained unfused predecoded path.
+    let mut fused = Engine::with_tier(artifact.module.clone(), Tier::Fused);
+    let mut decoded = Engine::with_tier(artifact.module.clone(), Tier::Decoded);
     let ab = ab_trial_comparison(
         &w,
         &artifact,
@@ -1019,23 +1015,17 @@ pub struct TierWorkloadReport {
 
 /// `figures --tiers`: direct-threaded dispatch against the fused
 /// interpreter on the cost-skewed predator-prey family (the gated anchor)
-/// and the Fig. 2 family, plus an adaptive tier-up probe — the BENCH
-/// trajectory's before/after datapoint for the tier architecture.
+/// and the Fig. 2 family — the BENCH trajectory's before/after datapoint
+/// for the tier architecture.
 #[derive(Debug, Clone)]
 pub struct TiersReport {
     /// One comparison per measured workload (the skewed family first — the
     /// entry the `--min-threaded-speedup` gate reads).
     pub workloads: Vec<TierWorkloadReport>,
-    /// Whether the adaptive policy's outputs matched the reference oracle
-    /// across its promotion boundary.
-    pub adaptive_match: bool,
-    /// Promotions the adaptive probe performed (must be non-zero: the probe
-    /// runs well past its threshold).
-    pub tier_promotions: u64,
 }
 
 impl TiersReport {
-    /// Render the per-workload comparison tables and the adaptive verdict.
+    /// Render the per-workload comparison tables.
     pub fn render(&self) -> String {
         let mut out = String::new();
         let _ = writeln!(out, "== Tiers: direct-threaded dispatch vs fused interpreter");
@@ -1061,44 +1051,35 @@ impl TiersReport {
                 w.speedup_median, w.outputs_match, w.reference_match
             );
         }
-        let _ = writeln!(
-            out,
-            "  adaptive tier-up: {} promotion(s), matches reference: {}",
-            self.tier_promotions, self.adaptive_match
-        );
         out
     }
 
     /// The comparison as a JSON object (consumed by `bench-diff`'s
     /// `--min-threaded-speedup` gate).
     pub fn to_json(&self) -> Json {
-        Json::obj([
-            (
-                "workloads",
-                Json::Arr(
-                    self.workloads
-                        .iter()
-                        .map(|w| {
-                            Json::obj([
-                                ("name", Json::str(&w.name)),
-                                ("model", Json::str(&w.model)),
-                                ("trials", w.trials.into()),
-                                ("samples", w.samples.into()),
-                                ("fused_median_s", w.fused_median_s.into()),
-                                ("fused_mad_s", w.fused_mad_s.into()),
-                                ("threaded_median_s", w.threaded_median_s.into()),
-                                ("threaded_mad_s", w.threaded_mad_s.into()),
-                                ("speedup_median", w.speedup_median.into()),
-                                ("outputs_match", w.outputs_match.into()),
-                                ("reference_match", w.reference_match.into()),
-                            ])
-                        })
-                        .collect(),
-                ),
+        Json::obj([(
+            "workloads",
+            Json::Arr(
+                self.workloads
+                    .iter()
+                    .map(|w| {
+                        Json::obj([
+                            ("name", Json::str(&w.name)),
+                            ("model", Json::str(&w.model)),
+                            ("trials", w.trials.into()),
+                            ("samples", w.samples.into()),
+                            ("fused_median_s", w.fused_median_s.into()),
+                            ("fused_mad_s", w.fused_mad_s.into()),
+                            ("threaded_median_s", w.threaded_median_s.into()),
+                            ("threaded_mad_s", w.threaded_mad_s.into()),
+                            ("speedup_median", w.speedup_median.into()),
+                            ("outputs_match", w.outputs_match.into()),
+                            ("reference_match", w.reference_match.into()),
+                        ])
+                    })
+                    .collect(),
             ),
-            ("adaptive_match", self.adaptive_match.into()),
-            ("tier_promotions", self.tier_promotions.into()),
-        ])
+        )])
     }
 }
 
@@ -1106,11 +1087,8 @@ fn tier_workload(spec_name: &str, trials: usize, samples: usize) -> TierWorkload
     let spec = registry::by_name(spec_name).expect("workload family registered");
     let w = spec.build(Scale::Reduced);
     let artifact = compile(&w.model, CompileConfig::default()).expect("compilation succeeds");
-    // Both sides pinned to Fixed policies — an inherited DISTILL_TIER must
-    // not degrade the A/B.
-    let mut threaded =
-        Engine::with_config(artifact.module.clone(), ExecConfig::fixed(Tier::Threaded));
-    let mut fused = Engine::with_config(artifact.module.clone(), ExecConfig::fixed(Tier::Fused));
+    let mut threaded = Engine::with_tier(artifact.module.clone(), Tier::Threaded);
+    let mut fused = Engine::with_tier(artifact.module.clone(), Tier::Fused);
     let ab = ab_trial_comparison(
         &w,
         &artifact,
@@ -1123,10 +1101,8 @@ fn tier_workload(spec_name: &str, trials: usize, samples: usize) -> TierWorkload
     );
     // Short untimed probe against the reference oracle: divergence shared by
     // the threaded and fused streams would pass the A/B above unseen.
-    let mut probe =
-        Engine::with_config(artifact.module.clone(), ExecConfig::fixed(Tier::Threaded));
-    let mut oracle =
-        Engine::with_config(artifact.module.clone(), ExecConfig::fixed(Tier::Reference));
+    let mut probe = Engine::with_tier(artifact.module.clone(), Tier::Threaded);
+    let mut oracle = Engine::with_tier(artifact.module.clone(), Tier::Reference);
     let reference = ab_trial_comparison(
         &w,
         &artifact,
@@ -1154,8 +1130,7 @@ fn tier_workload(spec_name: &str, trials: usize, samples: usize) -> TierWorkload
 
 /// Run the threaded-vs-fused comparison on the cost-skewed predator-prey
 /// family (the gated anchor — its long hot inner loop is where dispatch
-/// dominates) and the Fig. 2 family, then probe the adaptive policy across
-/// its promotion boundary against the reference oracle.
+/// dominates) and the Fig. 2 family.
 pub fn fig_tiers(trials: usize, samples: usize) -> TiersReport {
     // Data-driven from the registry's TierAnchor group, skewed entries first
     // (the gate anchor). The skewed family's trials are an order of
@@ -1171,36 +1146,7 @@ pub fn fig_tiers(trials: usize, samples: usize) -> TiersReport {
             }
         })
         .collect();
-    // Adaptive probe on the anchor family: enough trials to cross the
-    // promotion threshold mid-run, compared bit-for-bit to the oracle.
-    let spec = registry::by_name("predator_prey_skewed").expect("workload family registered");
-    let w = spec.build(Scale::Reduced);
-    let artifact = compile(&w.model, CompileConfig::default()).expect("compilation succeeds");
-    let mut adaptive = Engine::with_config(
-        artifact.module.clone(),
-        ExecConfig {
-            policy: TierPolicy::Adaptive {
-                hot_call_threshold: 4,
-            },
-        },
-    );
-    let mut oracle =
-        Engine::with_config(artifact.module.clone(), ExecConfig::fixed(Tier::Reference));
-    let probe = ab_trial_comparison(
-        &w,
-        &artifact,
-        12,
-        1,
-        &mut adaptive,
-        &mut oracle,
-        |e, f, a| e.call(f, a),
-        |e, f, a| e.call(f, a),
-    );
-    TiersReport {
-        workloads,
-        adaptive_match: probe.outputs_match,
-        tier_promotions: adaptive.stats().tier_promotions,
-    }
+    TiersReport { workloads }
 }
 
 /// The Fig. 5c thread-skew measurement: static contiguous chunking vs the
@@ -1439,7 +1385,6 @@ impl SweepFigure {
                                 ("instructions", w.run_stats.instructions.into()),
                                 ("fused_ops", w.run_stats.fused_ops.into()),
                                 ("frame_pool_hits", w.run_stats.frame_pool_hits.into()),
-                                ("tier_promotions", w.run_stats.tier_promotions.into()),
                                 (
                                     "targets",
                                     Json::Arr(
@@ -2233,10 +2178,8 @@ pub fn fig_telemetry(trials: usize, samples: usize) -> TelemetryReport {
         .map(|input| artifact.layout.flatten_input(&w.model.input_nodes, input))
         .collect();
     let zero_flat = vec![0.0; ext_len];
-    let mut on_engine =
-        Engine::with_config(artifact.module.clone(), ExecConfig::fixed(Tier::Fused));
-    let mut off_engine =
-        Engine::with_config(artifact.module.clone(), ExecConfig::fixed(Tier::Fused));
+    let mut on_engine = Engine::with_tier(artifact.module.clone(), Tier::Fused);
+    let mut off_engine = Engine::with_tier(artifact.module.clone(), Tier::Fused);
 
     let run = |engine: &mut Engine| -> (f64, Vec<Vec<u64>>) {
         let start = Instant::now();
@@ -2604,15 +2547,11 @@ mod tests {
             assert!(w.reference_match, "threaded must match the oracle: {w:?}");
             assert!(w.fused_median_s > 0.0 && w.threaded_median_s > 0.0);
         }
-        assert!(r.adaptive_match, "adaptive must match the oracle: {r:?}");
-        assert!(r.tier_promotions > 0, "the probe must cross its threshold: {r:?}");
         let json = r.to_json().to_string();
         assert!(json.contains("\"speedup_median\":"));
         assert!(json.contains("\"reference_match\":true"));
-        assert!(json.contains("\"adaptive_match\":true"));
         let text = r.render();
         assert!(text.contains("threaded"));
-        assert!(text.contains("adaptive tier-up"));
     }
 
     #[test]

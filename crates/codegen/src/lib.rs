@@ -69,15 +69,13 @@ pub struct CompileConfig {
     /// that executes up to this many trials per engine entry; drivers chunk
     /// larger batch requests. `0` disables the batched entry point.
     pub batch_capacity: usize,
-    /// Which execution tier (or tier-up policy) the engine runs the
-    /// compiled module on — see [`distill_exec::TierPolicy`]. Defaults to
-    /// the fused interpreter; `Fixed(Tier::Decoded)` is the A/B baseline of
-    /// `figures --fused`, `Fixed(Tier::Threaded)` the direct-threaded
-    /// dispatcher, `Adaptive` profile-guided tier-up. Codegen itself ignores
-    /// the knob — it rides along so drivers construct their engines
-    /// accordingly (the `DISTILL_TIER` environment override still wins at
-    /// engine construction).
-    pub tier: distill_exec::TierPolicy,
+    /// Which execution tier the engine runs the compiled module on — see
+    /// [`distill_exec::Tier`]. Defaults to [`distill_exec::Tier::Threaded`];
+    /// the other tiers exist for A/B measurement and as the reference
+    /// oracle. Codegen itself ignores the knob — it rides along so every
+    /// driver (session runners, serve lanes, dsweep workers) builds its
+    /// engine on it.
+    pub tier: distill_exec::Tier,
 }
 
 impl Default for CompileConfig {
@@ -87,7 +85,7 @@ impl Default for CompileConfig {
             opt_level: OptLevel::O2,
             seed: 0xD15_711,
             batch_capacity: 64,
-            tier: distill_exec::TierPolicy::default(),
+            tier: distill_exec::Tier::default(),
         }
     }
 }
@@ -1511,6 +1509,18 @@ mod tests {
         c.input_nodes = vec![a];
         c.output_nodes = vec![d];
         c
+    }
+
+    /// The tier knob's contract, pinned in one place: the label spellings
+    /// that sweep records and artifact keys archive, and the production
+    /// default every driver builds its engine on.
+    #[test]
+    fn tier_labels_and_default_are_stable() {
+        use distill_exec::Tier;
+        let labels: Vec<String> = Tier::ALL.iter().map(Tier::to_string).collect();
+        assert_eq!(labels, ["reference", "decoded", "fused", "threaded"]);
+        assert_eq!(Tier::default(), Tier::Threaded);
+        assert_eq!(CompileConfig::default().tier, Tier::Threaded);
     }
 
     #[test]

@@ -20,7 +20,7 @@
 //! one built from a fresh compile.
 
 use distill_codegen::{CompileConfig, CompileMode, CompiledModel, Layout};
-use distill_exec::{Tier, TierPolicy};
+use distill_exec::Tier;
 use distill_ir::{
     BinOp, BlockData, BlockId, CastKind, CmpPred, Constant, FuncId, Function, GepIndex, GlobalId,
     Inst, Intrinsic, Module, Terminator, Ty, UnOp, ValueData, ValueId, ValueKind,
@@ -31,7 +31,9 @@ use std::fmt;
 use std::path::Path;
 
 /// Format version of the artifact encoding; bump on any shape change.
-pub const ARTIFACT_VERSION: u32 = 1;
+/// Version 2 stores the compile configuration's tier as one byte (version 1
+/// carried a policy tag before it).
+pub const ARTIFACT_VERSION: u32 = 2;
 
 /// Magic bytes identifying an artifact file.
 pub const ARTIFACT_MAGIC: [u8; 8] = *b"DSTLART\0";
@@ -313,21 +315,7 @@ fn enc_config(w: &mut Writer, c: &CompileConfig) {
     });
     w.u64(c.seed);
     w.len(c.batch_capacity);
-    match c.tier {
-        TierPolicy::Fixed(t) => {
-            w.u8(0);
-            w.u8(match t {
-                Tier::Reference => 0,
-                Tier::Decoded => 1,
-                Tier::Fused => 2,
-                Tier::Threaded => 3,
-            });
-        }
-        TierPolicy::Adaptive { hot_call_threshold } => {
-            w.u8(1);
-            w.u64(hot_call_threshold);
-        }
-    }
+    w.u8(enum_tag(&Tier::ALL, &c.tier, "tier"));
 }
 
 fn dec_config(r: &mut Reader) -> Result<CompileConfig, ArtifactError> {
@@ -345,19 +333,7 @@ fn dec_config(r: &mut Reader) -> Result<CompileConfig, ArtifactError> {
     };
     let seed = r.u64()?;
     let batch_capacity = r.len()?;
-    let tier = match r.u8()? {
-        0 => TierPolicy::Fixed(match r.u8()? {
-            0 => Tier::Reference,
-            1 => Tier::Decoded,
-            2 => Tier::Fused,
-            3 => Tier::Threaded,
-            t => return Err(ArtifactError::Corrupt(format!("bad tier tag {t}"))),
-        }),
-        1 => TierPolicy::Adaptive {
-            hot_call_threshold: r.u64()?,
-        },
-        t => return Err(ArtifactError::Corrupt(format!("bad policy tag {t}"))),
-    };
+    let tier = enum_from_tag(&Tier::ALL, r.u8()?, "tier")?;
     Ok(CompileConfig {
         mode,
         opt_level,
@@ -1043,19 +1019,39 @@ mod tests {
 
     #[test]
     fn round_trip_is_exact() {
+        let mut c = compiled();
+        for tier in Tier::ALL {
+            c.config.tier = tier;
+            let bytes = serialize_artifact(&c);
+            let d = deserialize_artifact(&bytes).unwrap();
+            assert_eq!(c.module, d.module);
+            assert_eq!(c.layout, d.layout);
+            assert_eq!(c.node_funcs, d.node_funcs);
+            assert_eq!(c.trial_func, d.trial_func);
+            assert_eq!(c.batch_func, d.batch_func);
+            assert_eq!(c.batch_capacity, d.batch_capacity);
+            assert_eq!(c.eval_func, d.eval_func);
+            assert_eq!(c.grid_size, d.grid_size);
+            assert_eq!(c.opt_stats, d.opt_stats);
+            assert_eq!(c.config, d.config, "{tier}");
+        }
+    }
+
+    #[test]
+    fn bad_tier_tag_is_corrupt() {
         let c = compiled();
-        let bytes = serialize_artifact(&c);
-        let d = deserialize_artifact(&bytes).unwrap();
-        assert_eq!(c.module, d.module);
-        assert_eq!(c.layout, d.layout);
-        assert_eq!(c.node_funcs, d.node_funcs);
-        assert_eq!(c.trial_func, d.trial_func);
-        assert_eq!(c.batch_func, d.batch_func);
-        assert_eq!(c.batch_capacity, d.batch_capacity);
-        assert_eq!(c.eval_func, d.eval_func);
-        assert_eq!(c.grid_size, d.grid_size);
-        assert_eq!(c.opt_stats, d.opt_stats);
-        assert_eq!(c.config, d.config);
+        let mut bytes = serialize_artifact(&c);
+        // The tier tag is the last byte of the encoded config, which follows
+        // the magic and the version stamp.
+        let mut config = Writer::default();
+        enc_config(&mut config, &c.config);
+        let at = ARTIFACT_MAGIC.len() + 4 + config.bytes.len() - 1;
+        assert_eq!(bytes[at], enum_tag(&Tier::ALL, &c.config.tier, "tier"));
+        bytes[at] = Tier::ALL.len() as u8;
+        match deserialize_artifact(&bytes) {
+            Err(ArtifactError::Corrupt(msg)) => assert!(msg.contains("tier"), "{msg}"),
+            other => panic!("expected a corrupt tier tag, got {other:?}"),
+        }
     }
 
     #[test]

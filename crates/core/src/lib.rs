@@ -52,8 +52,7 @@ pub use distill_codegen::{compile, global_names, CompileConfig, CompileMode, Com
 pub use distill_cogmodel::{BaselineRunner, Composition, RunError};
 pub use distill_exec::{
     parallel_argmin, parallel_argmin_static, serial_argmin, ChunkQueue, Engine, EngineStats,
-    ExecConfig, ExecError, FuseSummary, GpuConfig, GpuRunReport, ParallelResult, Tier,
-    TierPolicy, Value,
+    ExecError, FuseSummary, GpuConfig, GpuRunReport, ParallelResult, Tier, TierPolicy, Value,
 };
 pub use distill_opt::OptLevel;
 pub use distill_pyvm::ExecMode;

@@ -294,14 +294,7 @@ pub(crate) struct CompiledDriver {
 
 impl CompiledDriver {
     pub(crate) fn new(compiled: CompiledModel, model: Composition) -> CompiledDriver {
-        // The session's tier policy decides which execution form the engine
-        // runs; a `DISTILL_TIER` environment request wins over it, so a
-        // whole-process A/B can be forced without touching call sites.
-        let policy = distill_exec::TierPolicy::from_env().unwrap_or(compiled.config.tier);
-        let engine = Engine::with_config(
-            compiled.module.clone(),
-            distill_exec::ExecConfig { policy },
-        );
+        let engine = Engine::with_tier(compiled.module.clone(), compiled.config.tier);
         CompiledDriver {
             compiled,
             model,
@@ -775,7 +768,6 @@ fn mirror_run_stats(stats: &distill_exec::EngineStats) {
         steals: &'static Counter,
         fused_ops: &'static Counter,
         frame_slots: &'static Counter,
-        tier_promotions: &'static Counter,
         runs: &'static Counter,
     }
     static PROBES: OnceLock<RunProbes> = OnceLock::new();
@@ -790,7 +782,6 @@ fn mirror_run_stats(stats: &distill_exec::EngineStats) {
             steals: reg.counter("run.steals"),
             fused_ops: reg.counter("run.fused_ops"),
             frame_slots: reg.counter("run.frame_slots"),
-            tier_promotions: reg.counter("run.tier_promotions"),
             runs: reg.counter("run.completed"),
         }
     });
@@ -802,7 +793,6 @@ fn mirror_run_stats(stats: &distill_exec::EngineStats) {
     p.steals.add(stats.steals);
     p.fused_ops.add(stats.fused_ops);
     p.frame_slots.add(stats.frame_slots);
-    p.tier_promotions.add(stats.tier_promotions);
     p.runs.inc();
 }
 

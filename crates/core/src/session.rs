@@ -107,17 +107,13 @@ impl Session {
         self
     }
 
-    /// Select the execution tier (or tier-up policy) the runner's engine
-    /// uses — see [`distill_exec::TierPolicy`]. Defaults to the fused
-    /// interpreter.
-    ///
-    /// The `DISTILL_TIER` environment override wins over an explicit
-    /// policy: when the environment requests a tier, every runner of the
-    /// process uses it regardless of this knob, so a whole A/B sweep can be
-    /// forced without touching call sites.
+    /// Pin the execution tier the runner's engine uses (sets
+    /// [`CompileConfig::tier`]). Defaults to [`distill_exec::Tier::Threaded`];
+    /// the other tiers exist for A/B measurement and as the reference oracle.
     #[must_use]
     pub fn tier(mut self, policy: distill_exec::TierPolicy) -> Session {
-        self.config.tier = policy;
+        let distill_exec::TierPolicy::Fixed(tier) = policy;
+        self.config.tier = tier;
         self
     }
 

@@ -10,12 +10,12 @@
 //! | [`Tier::Fused`]           | predecoded + superinstructions   | `match` interpreter |
 //! | [`Tier::Threaded`]        | per-block `(handler, op)` arrays | indirect call       |
 //!
-//! Which tier a call runs on is a [`TierPolicy`]: `Fixed(tier)` pins every
-//! function, `Adaptive { hot_call_threshold }` starts every function at the
-//! decoded tier and promotes it to the direct-threaded tier once its call
-//! count crosses the threshold (promotions are counted in
-//! `EngineStats::tier_promotions`). All tiers are pinned bit-identical to the
-//! reference oracle by the registry-driven differential suites.
+//! [`Engine::call`](crate::Engine::call) runs every call on the engine's one
+//! [`Tier`], [`Tier::Threaded`] by default; the per-tier entry points
+//! (`call_reference`, `call_decoded`, `call_fused`, `call_threaded`) run any
+//! other tier on the same engine for A/B measurement and differential
+//! testing. All tiers are pinned bit-identical to the reference oracle by
+//! the registry-driven differential suites.
 //!
 //! # Adding a tier
 //!
@@ -27,11 +27,12 @@
 //!    mutable [`EngineCtx`] (memory, statistics, frame pool) and must match
 //!    the reference tier bit-for-bit on verifier-clean IR; `code_stats`
 //!    reports the static shape of the prepared code.
-//! 3. Add a [`Tier`] variant, store the tier struct in `Engine`, route it in
-//!    `Engine::call_tier`, and extend the `DISTILL_TIER` parser.
-//! 4. Register the differentials: the workload-registry suites in
-//!    `tests/interp_differential.rs` iterate every tier, so a new variant is
-//!    picked up by adding it to `ALL_TIERS` there.
+//! 3. Add a [`Tier`] variant (and append it to [`Tier::ALL`]), store the
+//!    tier struct in `Engine`, route it in `Engine::call_tier`, and give it
+//!    a tag in the artifact codec (bumping `ARTIFACT_VERSION`).
+//! 4. The differentials follow: the workload-registry suites in
+//!    `tests/interp_differential.rs` iterate [`Tier::ALL`], so a new variant
+//!    is covered once it is listed there.
 //!
 //! The seam is deliberately wide enough for a native template-JIT tier: its
 //! `prepare` would emit machine code per block and `call` would jump into it,
@@ -67,7 +68,11 @@ pub enum Tier {
 }
 
 impl Tier {
-    /// The tier's registry/JSON label (also the `DISTILL_TIER` spelling).
+    /// Every tier, the reference oracle first, in increasing order of
+    /// specialization.
+    pub const ALL: [Tier; 4] = [Tier::Reference, Tier::Decoded, Tier::Fused, Tier::Threaded];
+
+    /// The tier's registry/JSON label.
     pub fn label(&self) -> &'static str {
         match self {
             Tier::Reference => "reference",
@@ -78,88 +83,27 @@ impl Tier {
     }
 }
 
+impl Default for Tier {
+    /// Direct-threaded dispatch: the fastest tier, bit-identical to the
+    /// reference oracle, and the one every production runner uses.
+    fn default() -> Tier {
+        Tier::Threaded
+    }
+}
+
 impl fmt::Display for Tier {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.write_str(self.label())
     }
 }
 
-/// How the engine picks a tier per call.
+/// A pinned tier request, as `Session::tier` takes it. [`Tier`] is the
+/// type the engine and the compile configuration hold; this wrapper only
+/// keeps the session knob's spelling, `TierPolicy::Fixed(tier)`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TierPolicy {
     /// Every function runs on the given tier.
     Fixed(Tier),
-    /// Profile-guided tier-up: every function starts at [`Tier::Decoded`]
-    /// and is promoted to [`Tier::Threaded`] once the engine has dispatched
-    /// it `hot_call_threshold` times (counted per function across the
-    /// engine's lifetime; each promotion bumps
-    /// `EngineStats::tier_promotions`).
-    Adaptive {
-        /// Calls to a function before it is promoted.
-        hot_call_threshold: u64,
-    },
-}
-
-impl TierPolicy {
-    /// Default promotion threshold of the `DISTILL_TIER=adaptive` spelling.
-    pub const DEFAULT_HOT_CALL_THRESHOLD: u64 = 32;
-
-    /// The adaptive policy with the default threshold.
-    pub fn adaptive() -> TierPolicy {
-        TierPolicy::Adaptive {
-            hot_call_threshold: TierPolicy::DEFAULT_HOT_CALL_THRESHOLD,
-        }
-    }
-
-    /// Interpret a `DISTILL_TIER` environment value as an explicit policy
-    /// request. Accepts the five tier spellings (any casing). Empty and
-    /// unrecognized values count as unset, so a typo degrades to the default
-    /// rather than silently changing semantics per call site. Returns `None`
-    /// when the value requests nothing.
-    pub fn from_env_values(tier: Option<&str>) -> Option<TierPolicy> {
-        match tier?.trim().to_ascii_lowercase().as_str() {
-            "reference" => Some(TierPolicy::Fixed(Tier::Reference)),
-            "decoded" => Some(TierPolicy::Fixed(Tier::Decoded)),
-            "fused" => Some(TierPolicy::Fixed(Tier::Fused)),
-            "threaded" => Some(TierPolicy::Fixed(Tier::Threaded)),
-            "adaptive" => Some(TierPolicy::adaptive()),
-            _ => None,
-        }
-    }
-
-    /// Read [`TierPolicy::from_env_values`] from the process environment.
-    pub fn from_env() -> Option<TierPolicy> {
-        TierPolicy::from_env_values(std::env::var("DISTILL_TIER").ok().as_deref())
-    }
-
-    /// Whether this policy needs the fusion pass to run at engine
-    /// construction (everything above the decoded tier executes the fused
-    /// stream).
-    pub(crate) fn wants_fusion(&self) -> bool {
-        !matches!(
-            self,
-            TierPolicy::Fixed(Tier::Reference) | TierPolicy::Fixed(Tier::Decoded)
-        )
-    }
-}
-
-impl fmt::Display for TierPolicy {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            TierPolicy::Fixed(t) => f.write_str(t.label()),
-            TierPolicy::Adaptive { hot_call_threshold } => {
-                write!(f, "adaptive({hot_call_threshold})")
-            }
-        }
-    }
-}
-
-impl Default for TierPolicy {
-    /// The fused interpreter — today's best always-safe default (the
-    /// threaded tier is opt-in per policy until it has soaked).
-    fn default() -> TierPolicy {
-        TierPolicy::Fixed(Tier::Fused)
-    }
 }
 
 /// Static shape of a tier's prepared code.
@@ -364,52 +308,5 @@ impl ExecTier for ThreadedTier {
         ThreadedTier {
             code: Arc::new(threaded::thread_module(&fused.code)),
         }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn tier_env_values_parse_to_fixed_policies() {
-        for (spelling, tier) in [
-            ("reference", Tier::Reference),
-            ("decoded", Tier::Decoded),
-            ("fused", Tier::Fused),
-            ("threaded", Tier::Threaded),
-            ("THREADED", Tier::Threaded),
-            (" fused ", Tier::Fused),
-        ] {
-            assert_eq!(
-                TierPolicy::from_env_values(Some(spelling)),
-                Some(TierPolicy::Fixed(tier)),
-                "{spelling}"
-            );
-        }
-        assert_eq!(
-            TierPolicy::from_env_values(Some("adaptive")),
-            Some(TierPolicy::adaptive())
-        );
-    }
-
-    #[test]
-    fn unset_empty_and_unknown_tier_values_request_nothing() {
-        assert_eq!(TierPolicy::from_env_values(None), None);
-        assert_eq!(TierPolicy::from_env_values(Some("")), None);
-        assert_eq!(TierPolicy::from_env_values(Some("bogus")), None);
-    }
-
-    #[test]
-    fn policy_labels_are_stable() {
-        assert_eq!(TierPolicy::Fixed(Tier::Threaded).to_string(), "threaded");
-        assert_eq!(
-            TierPolicy::Adaptive {
-                hot_call_threshold: 8
-            }
-            .to_string(),
-            "adaptive(8)"
-        );
-        assert_eq!(TierPolicy::default(), TierPolicy::Fixed(Tier::Fused));
     }
 }

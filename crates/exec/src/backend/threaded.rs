@@ -525,7 +525,7 @@ fn h_bin_store(
     Ok(Value::Unit)
 }
 
-/// Calls recurse within the threaded tier, so a promoted function's whole
+/// Calls recurse within the threaded tier, so a threaded call's whole
 /// dynamic extent runs threaded.
 fn h_call(
     ctx: &mut EngineCtx,

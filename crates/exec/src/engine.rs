@@ -7,18 +7,16 @@
 //!
 //! # Execution tiers
 //!
-//! The engine prepares every module at four specialization levels and picks
-//! one per call according to its [`TierPolicy`] (see [`crate::backend`] for
-//! the tier architecture): the retained IR-walking reference oracle, the
-//! predecoded interpreter (see [`crate::decode`]), the fused
-//! superinstruction stream (see [`crate::fuse`]), and direct-threaded
-//! dispatch over the fused stream. `Fixed(tier)` pins every call;
-//! `Adaptive { hot_call_threshold }` starts functions at the decoded tier
-//! and promotes hot ones to the threaded tier, counting promotions in
-//! [`EngineStats::tier_promotions`]. The per-tier entry points
+//! The engine prepares every module at four specialization levels (see
+//! [`crate::backend`] for the tier architecture) in one chain: the retained
+//! IR-walking reference oracle, the predecoded interpreter (see
+//! [`crate::decode`]), the fused superinstruction stream (see
+//! [`crate::fuse`]), and direct-threaded dispatch over the fused stream.
+//! [`Engine::call`] runs on the engine's one [`Tier`] — direct-threaded
+//! unless [`Engine::with_tier`] picked another. The per-tier entry points
 //! ([`Engine::call_reference`], [`Engine::call_decoded`],
-//! [`Engine::call_fused`], [`Engine::call_threaded`]) bypass the policy for
-//! A/B measurement and differential testing.
+//! [`Engine::call_fused`], [`Engine::call_threaded`]) run any tier on the
+//! same engine for A/B measurement and differential testing.
 //!
 //! The mutable state a call runs against — memory image, statistics, the
 //! register-frame pool — lives in [`EngineCtx`], which every tier borrows
@@ -28,12 +26,10 @@
 //! its own copy, which is the "thread-local copy of the read-write
 //! parameter structure and node outputs" strategy of §3.6. Clones share the
 //! immutable module and every tier's prepared code behind `Arc` — only the
-//! mutable memory image is copied, so spawning a worker is cheap — and they
-//! inherit the template's adaptive promotion state, so a worker starts hot
-//! functions on the tier the template already promoted them to.
+//! mutable memory image is copied, so spawning a worker is cheap.
 
 use crate::backend::{
-    DecodedTier, ExecTier, FusedTier, ReferenceTier, ThreadedTier, Tier, TierCodeStats, TierPolicy,
+    DecodedTier, ExecTier, FusedTier, ReferenceTier, ThreadedTier, Tier, TierCodeStats,
 };
 use crate::decode::decode_module;
 use crate::fuse::{fuse_module, FuseSummary};
@@ -173,10 +169,6 @@ pub struct EngineStats {
     /// fused and decoded paths shows how much the liveness compaction in
     /// [`crate::fuse`] shrank the pooled frames.
     pub frame_slots: u64,
-    /// Functions promoted from the decoded to the threaded tier by the
-    /// adaptive policy (see [`TierPolicy::Adaptive`]). Zero under any fixed
-    /// policy.
-    pub tier_promotions: u64,
 }
 
 impl EngineStats {
@@ -192,39 +184,11 @@ impl EngineStats {
         self.steals += other.steals;
         self.fused_ops += other.fused_ops;
         self.frame_slots += other.frame_slots;
-        self.tier_promotions += other.tier_promotions;
     }
 }
 
 /// A call frame: one register per SSA value of the function.
 pub(crate) type Frame = Vec<Option<Value>>;
-
-/// Construction-time knobs of the engine's execution pipeline.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ExecConfig {
-    /// Which tier [`Engine::call`] dispatches to (see [`TierPolicy`]).
-    pub policy: TierPolicy,
-}
-
-impl ExecConfig {
-    /// Pin every call to one tier.
-    pub fn fixed(tier: Tier) -> ExecConfig {
-        ExecConfig {
-            policy: TierPolicy::Fixed(tier),
-        }
-    }
-}
-
-impl Default for ExecConfig {
-    /// The `DISTILL_TIER` environment override when set, otherwise the
-    /// fused interpreter — so any tier can be A/B-measured without touching
-    /// a call site.
-    fn default() -> ExecConfig {
-        ExecConfig {
-            policy: TierPolicy::from_env().unwrap_or_default(),
-        }
-    }
-}
 
 /// The mutable state a call executes against: the flat memory image, the
 /// statistics counters, and the register-frame pool. Every [`ExecTier`]
@@ -318,12 +282,7 @@ pub struct Engine {
     pub(crate) decoded: DecodedTier,
     pub(crate) fused: FusedTier,
     pub(crate) threaded: ThreadedTier,
-    policy: TierPolicy,
-    fuse_enabled: bool,
-    /// Per-function call counts driving adaptive promotion.
-    hot_calls: Vec<u64>,
-    /// Per-function promotion state (`true` = runs on the threaded tier).
-    promoted: Vec<bool>,
+    tier: Tier,
     pub(crate) ctx: EngineCtx,
     /// Maximum instructions per top-level `call` (default: effectively
     /// unlimited). Tests lower it to catch runaway loops.
@@ -333,9 +292,7 @@ pub struct Engine {
 impl Clone for Engine {
     /// Clone the mutable memory image; the module and every tier's prepared
     /// code are shared (immutable after construction), so worker threads can
-    /// be spawned without re-lowering or copying any code. The adaptive
-    /// promotion state is inherited, so clones start hot functions on the
-    /// tier the template already promoted them to.
+    /// be spawned without re-lowering or copying any code.
     fn clone(&self) -> Engine {
         Engine {
             module: Arc::clone(&self.module),
@@ -343,10 +300,7 @@ impl Clone for Engine {
             decoded: self.decoded.clone(),
             fused: self.fused.clone(),
             threaded: self.threaded.clone(),
-            policy: self.policy,
-            fuse_enabled: self.fuse_enabled,
-            hot_calls: self.hot_calls.clone(),
-            promoted: self.promoted.clone(),
+            tier: self.tier,
             ctx: EngineCtx {
                 memory: self.ctx.memory.clone(),
                 global_base: self.ctx.global_base.clone(),
@@ -361,16 +315,16 @@ impl Clone for Engine {
 }
 
 impl Engine {
-    /// Materialize an engine for a module with the default [`ExecConfig`]
-    /// (the fused tier unless `DISTILL_TIER` requests otherwise): lay out
-    /// the globals and lower every function to each tier's prepared form
-    /// (once; the code is shared by every [`Clone`] of the engine).
+    /// Materialize an engine for a module on the default tier
+    /// ([`Tier::Threaded`]): lay out the globals and lower every function to
+    /// each tier's prepared form (once; the code is shared by every
+    /// [`Clone`] of the engine).
     pub fn new(module: Module) -> Engine {
-        Engine::with_config(module, ExecConfig::default())
+        Engine::with_tier(module, Tier::default())
     }
 
-    /// Materialize an engine with an explicit tier policy.
-    pub fn with_config(module: Module, config: ExecConfig) -> Engine {
+    /// Materialize an engine whose [`Engine::call`] runs on `tier`.
+    pub fn with_tier(module: Module, tier: Tier) -> Engine {
         let mut memory = Vec::new();
         let mut global_base = Vec::with_capacity(module.globals.len());
         for g in &module.globals {
@@ -386,21 +340,13 @@ impl Engine {
             }
         }
         let stack_base = memory.len();
-        // Build the tier pipeline once, sharing intermediates: decode, then
-        // fuse (unless the policy pins a pre-fusion tier), then thread the
-        // fused stream. Threading is O(static ops), so it is always built
-        // eagerly and per-tier entry points work under any policy.
+        // Build the tier chain once, sharing intermediates: decode, fuse,
+        // then thread the fused stream, so every per-tier entry point works
+        // on every engine.
         let decoded_code = Arc::new(decode_module(&module, &global_base));
-        let fuse_enabled = config.policy.wants_fusion();
-        let (fused_code, fuse_summary) = if fuse_enabled {
-            let (fused, summary) = fuse_module(&decoded_code);
-            (Arc::new(fused), summary)
-        } else {
-            // The fused tier aliases the decoded form; nothing was fused.
-            (Arc::clone(&decoded_code), FuseSummary::default())
-        };
+        let (fused_code, fuse_summary) = fuse_module(&decoded_code);
+        let fused_code = Arc::new(fused_code);
         let threaded_code = Arc::new(crate::backend::threaded::thread_module(&fused_code));
-        let num_funcs = module.functions.len();
         let module = Arc::new(module);
         Engine {
             reference: ReferenceTier {
@@ -415,10 +361,7 @@ impl Engine {
                 code: threaded_code,
             },
             module,
-            policy: config.policy,
-            fuse_enabled,
-            hot_calls: vec![0; num_funcs],
-            promoted: vec![false; num_funcs],
+            tier,
             ctx: EngineCtx {
                 memory,
                 global_base,
@@ -436,19 +379,12 @@ impl Engine {
         &self.module
     }
 
-    /// The tier policy [`Engine::call`] dispatches under.
-    pub fn tier_policy(&self) -> TierPolicy {
-        self.policy
+    /// The tier [`Engine::call`] runs on.
+    pub fn tier(&self) -> Tier {
+        self.tier
     }
 
-    /// Whether the fusion pass ran at construction (true for every policy
-    /// that can execute the fused stream).
-    pub fn fuse_enabled(&self) -> bool {
-        self.fuse_enabled
-    }
-
-    /// Static accounting of the construction-time fusion pass (zeroed when
-    /// fusion is disabled).
+    /// Static accounting of the construction-time fusion pass.
     pub fn fuse_summary(&self) -> FuseSummary {
         self.fused.summary
     }
@@ -496,7 +432,6 @@ impl Engine {
             steals: s.steals - base.steals,
             fused_ops: s.fused_ops - base.fused_ops,
             frame_slots: s.frame_slots - base.frame_slots,
-            tier_promotions: s.tier_promotions - base.tier_promotions,
         }
     }
 
@@ -550,18 +485,15 @@ impl Engine {
     /// smaller than the staging capacity).
     ///
     /// # Errors
-    /// [`ExecError::UnknownGlobal`] if the global name is unknown.
-    ///
-    /// # Panics
-    /// Panics if `len` exceeds the global's size (a driver contract
-    /// violation, not a runtime condition).
+    /// [`ExecError::UnknownGlobal`] if the global name is unknown;
+    /// [`ExecError::OutOfBounds`] if `len` exceeds the global's size.
     pub fn read_global_f64_prefix(&self, name: &str, len: usize) -> Result<Vec<f64>, ExecError> {
         let id = self.global_id(name)?;
+        let size = self.module.global(id).ty.slot_count();
+        if len > size {
+            return Err(ExecError::OutOfBounds { addr: len, size });
+        }
         let base = self.ctx.global_base[id.index()];
-        assert!(
-            len <= self.module.global(id).ty.slot_count(),
-            "prefix of {len} slots exceeds global {name}"
-        );
         Ok(self.ctx.memory[base..base + len]
             .iter()
             .map(|s| match s {
@@ -637,43 +569,18 @@ impl Engine {
     // Tier dispatch
     // -----------------------------------------------------------------------
 
-    /// Call a function by id with the given arguments, on the tier the
-    /// engine's [`TierPolicy`] selects. Under a fixed policy every call runs
-    /// that tier; under the adaptive policy the function's call count is
-    /// bumped first and crossing the threshold promotes it (at the call
-    /// boundary only, so a promotion never splits one run's statistics
-    /// across tiers).
+    /// Call a function by id with the given arguments, on the engine's
+    /// [`Tier`].
     ///
     /// # Errors
     /// Returns [`ExecError`] on type errors, memory violations, division by
     /// zero, depth or fuel exhaustion.
     pub fn call(&mut self, func: FuncId, args: &[Value]) -> Result<Value, ExecError> {
-        match self.policy {
-            TierPolicy::Fixed(tier) => self.call_tier(tier, func, args),
-            TierPolicy::Adaptive { hot_call_threshold } => {
-                let idx = func.index();
-                if !self.promoted[idx] {
-                    self.hot_calls[idx] += 1;
-                    if self.hot_calls[idx] >= hot_call_threshold {
-                        self.promoted[idx] = true;
-                        self.ctx.stats.tier_promotions += 1;
-                        if distill_telemetry::enabled() {
-                            crate::probes::record_promotion(idx, hot_call_threshold);
-                        }
-                    }
-                }
-                let tier = if self.promoted[idx] {
-                    Tier::Threaded
-                } else {
-                    Tier::Decoded
-                };
-                self.call_tier(tier, func, args)
-            }
-        }
+        self.call_tier(self.tier, func, args)
     }
 
-    /// Call a function on an explicit tier, bypassing the policy. The
-    /// per-tier convenience wrappers below delegate here.
+    /// Call a function on an explicit tier, whatever the engine's own tier.
+    /// The per-tier convenience wrappers below delegate here.
     ///
     /// # Errors
     /// Same surface as [`Engine::call`].
@@ -732,8 +639,7 @@ impl Engine {
         self.call_tier(Tier::Decoded, func, args)
     }
 
-    /// Call a function through the fused superinstruction stream (the plain
-    /// predecoded form when the policy disabled fusion at construction).
+    /// Call a function through the fused superinstruction stream.
     ///
     /// # Errors
     /// Same surface as [`Engine::call`].
@@ -756,8 +662,6 @@ mod tests {
     use super::*;
     use distill_ir::{FunctionBuilder, Intrinsic, Module, Ty};
     use distill_pyvm::SplitMix64;
-
-    const ALL_TIERS: [Tier; 4] = [Tier::Reference, Tier::Decoded, Tier::Fused, Tier::Threaded];
 
     fn axpy_module() -> (Module, FuncId) {
         let mut m = Module::new("m");
@@ -794,7 +698,7 @@ mod tests {
         let mut e = Engine::new(m);
         let args = [Value::F64(2.0), Value::F64(3.0), Value::F64(1.0)];
         let oracle = e.call_reference(fid, &args);
-        for tier in ALL_TIERS {
+        for tier in Tier::ALL {
             assert_eq!(e.call_tier(tier, fid, &args), oracle, "{tier}");
         }
     }
@@ -849,7 +753,7 @@ mod tests {
         let mut slow = Engine::new(m);
         for n in [0i64, 1, 2, 17, 100] {
             let oracle = slow.call_reference(fid, &[Value::I64(n)]);
-            for tier in ALL_TIERS {
+            for tier in Tier::ALL {
                 assert_eq!(fast.call_tier(tier, fid, &[Value::I64(n)]), oracle, "n={n} {tier}");
             }
         }
@@ -929,6 +833,12 @@ mod tests {
             e.read_global_i64("a", 5),
             Err(ExecError::OutOfBounds { .. })
         ));
+        // An oversized prefix read is a typed error, not a panic.
+        assert_eq!(
+            e.read_global_f64_prefix("a", 3),
+            Err(ExecError::OutOfBounds { addr: 3, size: 2 })
+        );
+        assert_eq!(e.read_global_f64_prefix("a", 2).unwrap(), vec![0.0, 0.0]);
         // In-bounds shorter writes still work and leave the tail untouched.
         e.write_global_f64("a", &[7.5]).unwrap();
         assert_eq!(e.read_global_f64("a").unwrap(), vec![7.5, 0.0]);
@@ -954,7 +864,7 @@ mod tests {
             .stack_size(32 * 1024 * 1024)
             .spawn(move || {
                 let mut e = Engine::new(m);
-                for tier in ALL_TIERS {
+                for tier in Tier::ALL {
                     assert_eq!(
                         e.call_tier(tier, fid, &[Value::I64(0)]),
                         Err(ExecError::DepthExceeded),
@@ -1050,7 +960,7 @@ mod tests {
             b.ret(Some(r));
         }
         let mut e = Engine::new(m);
-        for tier in ALL_TIERS {
+        for tier in Tier::ALL {
             assert_eq!(
                 e.call_tier(tier, fid, &[Value::I64(1), Value::I64(0)]),
                 Err(ExecError::DivisionByZero),
@@ -1077,7 +987,7 @@ mod tests {
         }
         let mut e = Engine::new(m);
         e.fuel_limit = 10_000;
-        for tier in ALL_TIERS {
+        for tier in Tier::ALL {
             assert_eq!(
                 e.call_tier(tier, fid, &[]),
                 Err(ExecError::FuelExhausted),
@@ -1109,24 +1019,9 @@ mod tests {
     }
 
     #[test]
-    fn decoded_policy_aliases_the_decoded_code() {
-        let (m, fid) = axpy_module();
-        let mut e = Engine::with_config(m, ExecConfig::fixed(Tier::Decoded));
-        assert!(!e.fuse_enabled());
-        assert_eq!(e.fuse_summary(), FuseSummary::default());
-        assert!(Arc::ptr_eq(&e.fused.code, &e.decoded.code));
-        let args = [Value::F64(2.0), Value::F64(3.0), Value::F64(1.0)];
-        assert_eq!(e.call(fid, &args), Ok(Value::F64(7.0)));
-        assert_eq!(e.stats().fused_ops, 0, "no superinstructions without fusion");
-    }
-
-    #[test]
     fn fused_and_decoded_paths_agree_and_fusion_shrinks_frames() {
         let (m, fid) = sum_module();
-        // Pinned explicitly so an inherited DISTILL_TIER cannot turn this
-        // into a decoded-vs-decoded comparison.
-        let mut e = Engine::with_config(m, ExecConfig::fixed(Tier::Fused));
-        assert!(e.fuse_enabled());
+        let mut e = Engine::with_tier(m, Tier::Fused);
         let summary = e.fuse_summary();
         assert!(
             summary.fused_frame_slots < summary.decoded_frame_slots,
@@ -1149,8 +1044,8 @@ mod tests {
     #[test]
     fn threaded_tier_matches_fused_results_and_instruction_counts() {
         let (m, fid) = sum_module();
-        let mut fused = Engine::with_config(m.clone(), ExecConfig::fixed(Tier::Fused));
-        let mut threaded = Engine::with_config(m, ExecConfig::fixed(Tier::Threaded));
+        let mut fused = Engine::with_tier(m.clone(), Tier::Fused);
+        let mut threaded = Engine::with_tier(m, Tier::Threaded);
         for n in [0i64, 1, 17, 100] {
             assert_eq!(
                 threaded.call(fid, &[Value::I64(n)]),
@@ -1166,60 +1061,12 @@ mod tests {
     }
 
     #[test]
-    fn adaptive_policy_promotes_hot_functions_at_the_call_boundary() {
-        let (m, fid) = sum_module();
-        let mut e = Engine::with_config(
-            m,
-            ExecConfig {
-                policy: TierPolicy::Adaptive {
-                    hot_call_threshold: 4,
-                },
-            },
-        );
-        let mut fixed = Engine::with_config(
-            e.module().clone(),
-            ExecConfig::fixed(Tier::Fused),
-        );
-        for i in 0..8 {
-            assert_eq!(
-                e.call(fid, &[Value::I64(i)]),
-                fixed.call(fid, &[Value::I64(i)]),
-                "call {i}"
-            );
-        }
-        assert_eq!(e.stats().tier_promotions, 1, "stats: {:?}", e.stats());
-        // Promotion state is inherited by clones: a worker spawned now does
-        // not re-promote (or re-interpret) the hot function.
-        let mut worker = e.clone();
-        let base = worker.stats();
-        worker.call(fid, &[Value::I64(3)]).unwrap();
-        assert_eq!(worker.stats_since(&base).tier_promotions, 0);
-    }
-
-    #[test]
-    fn adaptive_policy_below_threshold_stays_decoded() {
-        let (m, fid) = sum_module();
-        let mut e = Engine::with_config(
-            m,
-            ExecConfig {
-                policy: TierPolicy::Adaptive {
-                    hot_call_threshold: 100,
-                },
-            },
-        );
-        for i in 0..8 {
-            e.call(fid, &[Value::I64(i)]).unwrap();
-        }
-        assert_eq!(e.stats().tier_promotions, 0);
-    }
-
-    #[test]
     fn missing_body_errors_on_every_tier() {
         let mut m = Module::new("m");
         let fid = m.declare_function("decl", vec![], Ty::F64);
         m.function_mut(fid).is_declaration = true;
         let mut e = Engine::new(m);
-        for tier in ALL_TIERS {
+        for tier in Tier::ALL {
             assert_eq!(
                 e.call_tier(tier, fid, &[]),
                 Err(ExecError::MissingBody("decl".into())),

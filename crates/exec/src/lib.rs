@@ -13,7 +13,8 @@
 //!   the module's globals, behind four pluggable specialization tiers
 //!   (see [`backend`]): the IR-walking reference oracle, the predecoded
 //!   interpreter, the fused superinstruction stream, and direct-threaded
-//!   dispatch — selected per call by a [`TierPolicy`].
+//!   dispatch — [`Engine::call`](engine::Engine::call) runs on one [`Tier`],
+//!   direct-threaded by default.
 //! * [`mcpu`] — the multicore grid-search backend of §3.6: the evaluation
 //!   space is split across OS threads, each thread works on its own copy of
 //!   the read-write state (here: its own copy of the engine memory), and the
@@ -33,7 +34,7 @@ pub(crate) mod probes;
 pub mod shard;
 
 pub use backend::{ExecTier, Tier, TierCodeStats, TierPolicy};
-pub use engine::{Engine, EngineCtx, EngineStats, ExecConfig, ExecError, Value};
+pub use engine::{Engine, EngineCtx, EngineStats, ExecError, Value};
 pub use fuse::FuseSummary;
 pub use gpu::{GpuConfig, GpuRunReport};
 pub use mcpu::{

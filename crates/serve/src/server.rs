@@ -84,7 +84,7 @@ use std::sync::{mpsc, Arc, Condvar, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use distill::{global_names as gn, Engine, ExecConfig, TierPolicy, Value};
+use distill::{global_names as gn, Engine, Value};
 use distill_codegen::{CompileConfig, CompiledModel, StagingBuffer};
 use distill_exec::ChunkQueue;
 use distill_ir::FuncId;
@@ -661,8 +661,7 @@ impl Inner {
             // matching the batched staging path's zero-fill.
             flats.push(vec![0.0; artifact.layout.ext_len]);
         }
-        let policy = TierPolicy::from_env().unwrap_or(artifact.config.tier);
-        let template = Engine::with_config(artifact.module.clone(), ExecConfig { policy });
+        let template = Engine::with_tier(artifact.module.clone(), artifact.config.tier);
         let batch_usable =
             self.config.batch > 1 && artifact.batch_capacity > 0 && artifact.batch_func.is_some();
         let chunk = if batch_usable {

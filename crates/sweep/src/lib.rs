@@ -140,9 +140,9 @@ pub struct SweepReport {
     pub threads: usize,
     /// Trials per compiled batch.
     pub batch: usize,
-    /// Label of the execution tier policy every family ran on (e.g.
-    /// `fused`, `threaded`, `adaptive(32)`) — archived so sweep records
-    /// from different tiers are never compared as like-for-like.
+    /// Label of the execution tier every family ran on (`threaded` unless
+    /// the compile configuration pinned another) — archived so sweep
+    /// records from different tiers are never compared as like-for-like.
     pub tier: String,
     /// Per-family results, in registry order.
     pub workloads: Vec<WorkloadReport>,

@@ -278,7 +278,6 @@ impl Enc {
         self.u64(s.steals);
         self.u64(s.fused_ops);
         self.u64(s.frame_slots);
-        self.u64(s.tier_promotions);
     }
     fn shards(&mut self, s: &ShardStats) {
         self.u64(s.threads as u64);
@@ -358,7 +357,6 @@ impl<'a> Dec<'a> {
             steals: self.u64()?,
             fused_ops: self.u64()?,
             frame_slots: self.u64()?,
-            tier_promotions: self.u64()?,
         })
     }
     fn shards(&mut self) -> Result<ShardStats, ProtoError> {
@@ -599,7 +597,6 @@ mod tests {
                     steals: 1,
                     fused_ops: 600,
                     frame_slots: 40,
-                    tier_promotions: 0,
                 },
             },
         })

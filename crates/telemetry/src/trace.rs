@@ -2,7 +2,7 @@
 //!
 //! Spans are recorded as *complete* events (`ph: "X"` — one record carrying
 //! both start timestamp and duration) against a process-wide monotonic
-//! epoch; point-in-time occurrences (a tier promotion, a worker death) are
+//! epoch; point-in-time occurrences (a worker death, a lease re-issue) are
 //! *instant* events (`ph: "i"`). Events are buffered in a small per-thread
 //! `Vec` and drained into a bounded global ring buffer either when the
 //! local buffer fills, when the thread exits, or on an explicit
@@ -215,7 +215,7 @@ pub fn span(name: &'static str) -> SpanGuard {
     }
 }
 
-/// Record a point-in-time event (tier promotion, worker death, epoch bump).
+/// Record a point-in-time event (worker death, lease re-issue, epoch bump).
 pub fn instant(name: &'static str, args: Vec<(&'static str, ArgValue)>) {
     if !crate::enabled() {
         return;

@@ -1,17 +1,15 @@
 //! Differential suite: every execution tier — direct-threaded, fused,
 //! plain predecoded — against the retained IR-walking reference
-//! interpreter, plus the adaptive tier-up policy mid-promotion.
+//! interpreter.
 //!
 //! The family coverage is **data-driven over the workload registry**
 //! (`distill_models::registry`): every registered family — the Fig. 2–7
 //! models plus the stress families (`predator_prey_skewed`, `gpu_stress`)
 //! and anything registered after them — is compiled and executed once per
-//! execution tier over the same module (one engine per `Fixed` tier policy,
-//! plus an `Adaptive` engine whose low promotion threshold makes it tier up
-//! in the middle of the differential), asserting bit-identical trial
-//! outputs *and* bit-identical final memory images. Registering a new
-//! family — or appending a new tier to [`ALL_TIERS`] — is all it takes to
-//! extend the coverage.
+//! execution tier over the same module (one engine per [`Tier::ALL`]
+//! entry), asserting bit-identical trial outputs *and* bit-identical final
+//! memory images. Registering a new family — or a new tier in
+//! [`Tier::ALL`] — is all it takes to extend the coverage.
 //!
 //! Targeted edge cases cover phi edges, terminators, frame-pool reuse,
 //! per-node artifacts, O0/O3 IR shapes, and the work-stealing grid scheduler
@@ -19,8 +17,8 @@
 
 use distill::{
     compile, global_names as gn, parallel_argmin, parallel_argmin_static, serial_argmin,
-    CompileConfig, CompileMode, CompiledModel, Engine, ExecConfig, ExecError, OptLevel, Tier,
-    TierPolicy, Value,
+    CompileConfig, CompileMode, CompiledModel, Engine, ExecError, OptLevel, Tier, TierPolicy,
+    Value,
 };
 use distill_ir::{BinOp, CmpPred, FunctionBuilder, Module, Terminator, Ty};
 use distill_models::{
@@ -36,42 +34,23 @@ fn flatten(w: &Workload, artifact: &CompiledModel, trial: usize) -> Vec<f64> {
     }
 }
 
-/// Every execution tier, the reference oracle first. A tier added to
-/// `distill_exec::backend` gets full registry-driven differential coverage
-/// by being appended here (see the `backend` module docs).
-const ALL_TIERS: [Tier; 4] = [Tier::Reference, Tier::Decoded, Tier::Fused, Tier::Threaded];
-
-/// One engine per tier over the artifact's module — pinned `Fixed` policies,
-/// so an inherited `DISTILL_TIER` cannot degrade the
-/// differential — plus an `Adaptive` engine whose promotion threshold of 2
-/// makes it tier up from decoded to threaded *during* the comparison.
+/// One engine per tier over the artifact's module, the reference oracle
+/// first.
 fn tier_engines(artifact: &CompiledModel) -> Vec<(String, Engine)> {
-    let mut engines: Vec<(String, Engine)> = ALL_TIERS
+    Tier::ALL
         .iter()
         .map(|t| {
             (
                 t.to_string(),
-                Engine::with_config(artifact.module.clone(), ExecConfig::fixed(*t)),
+                Engine::with_tier(artifact.module.clone(), *t),
             )
         })
-        .collect();
-    engines.push((
-        "adaptive".to_string(),
-        Engine::with_config(
-            artifact.module.clone(),
-            ExecConfig {
-                policy: TierPolicy::Adaptive {
-                    hot_call_threshold: 2,
-                },
-            },
-        ),
-    ));
-    engines
+        .collect()
 }
 
-/// Run `trials` whole-model trials on every tier (and the mid-promotion
-/// adaptive policy) and assert bit-identical behaviour against the reference
-/// oracle: same results, same trial outputs, same final memory.
+/// Run `trials` whole-model trials on every tier and assert bit-identical
+/// behaviour against the reference oracle: same results, same trial
+/// outputs, same final memory.
 fn differential_whole_model(w: &Workload, config: CompileConfig, trials: usize) {
     let artifact = compile(&w.model, config).expect("compilation succeeds");
     let trial_fn = artifact
@@ -569,17 +548,11 @@ fn multicore_driver_folds_steals_into_engine_stats() {
         result.stats,
         grid.stats
     );
-    let default_runs_fused = !matches!(
-        distill::ExecConfig::default().policy,
-        TierPolicy::Fixed(Tier::Reference) | TierPolicy::Fixed(Tier::Decoded)
+    assert!(
+        result.stats.fused_ops > 0,
+        "the default tier runs the fused stream, superinstructions must execute: {:?}",
+        result.stats
     );
-    if default_runs_fused {
-        assert!(
-            result.stats.fused_ops > 0,
-            "fusion is on by default, superinstructions must execute: {:?}",
-            result.stats
-        );
-    }
 }
 
 #[test]
@@ -605,94 +578,68 @@ fn run_results_carry_per_run_stats_not_engine_lifetime_aggregates() {
 }
 
 #[test]
-fn adaptive_sessions_match_every_fixed_tier_and_count_promotions() {
+fn sessions_on_every_tier_match_the_reference() {
     use distill::{RunSpec, Session};
     let w = predator_prey_s();
     let spec = RunSpec::new(w.inputs.clone(), 4);
-    let run_with = |policy: TierPolicy| {
-        let mut runner = Session::new(&w.model)
-            .tier(policy)
-            .build()
-            .expect("runner builds");
-        runner.run(&spec).expect("run succeeds")
-    };
-    let oracle = run_with(TierPolicy::Fixed(Tier::Reference));
     let bits = |r: &distill::RunResult| -> Vec<Vec<u64>> {
         r.outputs
             .iter()
             .map(|o| o.iter().map(|v| v.to_bits()).collect())
             .collect()
     };
+    let run_on = |tier: Tier| {
+        let mut runner = Session::new(&w.model)
+            .tier(TierPolicy::Fixed(tier))
+            .build()
+            .expect("runner builds");
+        assert_eq!(runner.engine().expect("compiled backend").tier(), tier);
+        runner.run(&spec).expect("run succeeds")
+    };
+    let oracle = run_on(Tier::Reference);
     for tier in [Tier::Decoded, Tier::Fused, Tier::Threaded] {
-        let r = run_with(TierPolicy::Fixed(tier));
+        let r = run_on(tier);
         assert_eq!(bits(&r), bits(&oracle), "{tier} diverged from reference");
         assert_eq!(r.passes, oracle.passes, "{tier} pass counts diverged");
-        assert_eq!(
-            r.stats.tier_promotions, 0,
-            "fixed policies never promote: {tier}"
-        );
     }
-    // The adaptive policy promotes the hot trial function mid-run and still
-    // matches the oracle bit for bit.
-    let hot = run_with(TierPolicy::Adaptive {
-        hot_call_threshold: 2,
-    });
-    assert_eq!(bits(&hot), bits(&oracle), "adaptive diverged from reference");
-    assert!(
-        hot.stats.tier_promotions > 0,
-        "4 trials past a threshold of 2 must promote: {:?}",
-        hot.stats
-    );
-    // Below the threshold nothing is promoted.
-    let cold = run_with(TierPolicy::Adaptive {
-        hot_call_threshold: 1 << 40,
-    });
-    assert_eq!(bits(&cold), bits(&oracle), "cold adaptive diverged");
+    // The default runner executes on the threaded tier and matches too.
+    let mut runner = Session::new(&w.model).build().expect("runner builds");
     assert_eq!(
-        cold.stats.tier_promotions, 0,
-        "below-threshold runs must not promote: {:?}",
-        cold.stats
+        runner.engine().expect("compiled backend").tier(),
+        Tier::Threaded
     );
+    let default = runner.run(&spec).expect("run succeeds");
+    assert_eq!(bits(&default), bits(&oracle), "default tier diverged");
 }
 
 #[test]
-fn adaptive_promotion_does_not_double_count_per_run_stats() {
+fn per_run_stats_partition_the_engine_lifetime_counters() {
     use distill::{RunSpec, Session};
-    // A promotion in the middle of a run switches tiers at a call boundary;
-    // the per-run stats delta must keep counting each dispatched instruction
-    // exactly once. Summing per-run deltas over runs that straddle the
-    // promotion must reproduce the engine's lifetime counters.
+    // Each result carries its own run's counters; summed over consecutive
+    // runs of one default-tier runner they must reproduce the engine's
+    // lifetime counters, so no dispatched instruction is counted twice or
+    // dropped.
     let w = predator_prey_s();
     let spec = RunSpec::new(w.inputs.clone(), 2);
-    let mut runner = Session::new(&w.model)
-        .tier(TierPolicy::Adaptive {
-            hot_call_threshold: 3,
-        })
-        .build()
-        .expect("runner builds");
-    let first = runner.run(&spec).expect("first run"); // calls 1-2: decoded
-    let second = runner.run(&spec).expect("second run"); // promotes at call 3
-    let third = runner.run(&spec).expect("third run"); // threaded throughout
+    let mut runner = Session::new(&w.model).build().expect("runner builds");
+    let runs: Vec<distill::RunResult> = (0..3)
+        .map(|_| runner.run(&spec).expect("run succeeds"))
+        .collect();
+    let lifetime = runner
+        .engine()
+        .expect("compiled backend has an engine")
+        .stats();
     assert_eq!(
-        first.stats.tier_promotions + second.stats.tier_promotions + third.stats.tier_promotions,
-        1,
-        "exactly one promotion across the three runs"
-    );
-    assert_eq!(second.stats.tier_promotions, 1, "promotion lands in run two");
-    let engine = runner.engine().expect("compiled backend has an engine");
-    let lifetime = engine.stats();
-    assert_eq!(
-        first.stats.instructions + second.stats.instructions + third.stats.instructions,
+        runs.iter().map(|r| r.stats.instructions).sum::<u64>(),
         lifetime.instructions,
         "per-run instruction deltas must partition the lifetime count"
     );
     assert_eq!(
-        first.stats.calls + second.stats.calls + third.stats.calls,
+        runs.iter().map(|r| r.stats.calls).sum::<u64>(),
         lifetime.calls
     );
-    // Outputs stay bit-identical across the tier switch.
-    assert_eq!(first.outputs, second.outputs);
-    assert_eq!(second.outputs, third.outputs);
+    assert_eq!(runs[0].outputs, runs[1].outputs);
+    assert_eq!(runs[1].outputs, runs[2].outputs);
 }
 
 #[test]

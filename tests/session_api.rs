@@ -190,9 +190,9 @@ fn runner_metadata_reflects_the_target() {
     assert_eq!(mcpu.target_label(), "multi-core:2");
 }
 
-/// Property: the session's tier knob (here through the legacy `fuse`
-/// spelling) selects the engine's execution form — identical outputs either
-/// way, superinstructions only when fused.
+/// Property: the session's tier knob selects the engine's execution form —
+/// identical outputs either way, superinstructions only on the fused stream
+/// the default (threaded) tier dispatches.
 #[test]
 fn fusion_knob_is_a_pure_performance_switch() {
     let w = predator_prey_s();
@@ -206,12 +206,6 @@ fn fusion_knob_is_a_pure_performance_switch() {
     let b = unfused.run(&spec).unwrap();
     assert_eq!(a.outputs, b.outputs);
     assert_eq!(a.passes, b.passes);
-    if distill::TierPolicy::from_env().is_some() {
-        // A DISTILL_TIER environment request overrides the
-        // session knob by design; the fusion-specific assertions below
-        // would be vacuous.
-        return;
-    }
     assert!(
         a.stats.fused_ops > 0,
         "fused runner must execute superinstructions: {:?}",
